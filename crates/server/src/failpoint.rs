@@ -22,6 +22,11 @@
 //! | `partial:<n>` | the site performs only the first `<n>` bytes of a      |
 //! |               | write, then reports failure (torn-write simulation)    |
 //!
+//! The sites are `reactor.accept` (a freshly accepted connection),
+//! `worker.batch` (a `BATCH` job picked up by a pool worker — in router
+//! workers too, since the router runs on the same reactor), `snapshot.write`
+//! (a crash-safe snapshot write), and `router.probe` (one health probe).
+//!
 //! An optional `count*` prefix arms the action for exactly `count` firings,
 //! after which the site goes inert again — this is how a test says "refuse
 //! the next 3 accepts, then recover". Without a count the action persists

@@ -10,12 +10,17 @@
 //!   the swappable `Arc<`[`wcsd_core::FlatIndex`]`>` snapshot slot (hot
 //!   reloadable via the `RELOAD` verb, generation-tagged), the result
 //!   cache, and the counters behind `STATS`.
-//! * `reactor` *(private module)* — the event-loop core: nonblocking sockets
-//!   multiplexed through a minimal `poll(2)` wrapper, per-connection
-//!   read/parse/execute/write state machines, and a bounded worker pool
-//!   for `BATCH` fan-out (via [`wcsd_core::parallel::par_distances`]) and
-//!   `RELOAD` snapshot decoding. Connections scale with file descriptors,
-//!   not threads.
+//! * `reactor` *(private module)* — the event-loop core and the one
+//!   connection front end: nonblocking sockets multiplexed through a minimal
+//!   `poll(2)` wrapper, per-connection read/parse/execute/write state
+//!   machines, and a bounded worker pool, generic over an *executor* that
+//!   answers the data verbs. The server's executor serves the snapshot slot
+//!   (`BATCH` fan-out via [`wcsd_core::parallel::par_distances`] and
+//!   `RELOAD` decoding run on the pool). Connections scale with file
+//!   descriptors, not threads.
+//! * [`router::Router`] — the same reactor with the scatter-gather
+//!   executor: a boundary overlay in front of replica groups of shard
+//!   backends, reached through per-worker backend connections.
 //! * [`protocol`] — the newline-delimited text protocol (`QUERY`, `BATCH`,
 //!   `WITHIN`, `STATS`, `RELOAD`, `SHUTDOWN`) and the protocol-neutral
 //!   [`protocol::Reply`] type.

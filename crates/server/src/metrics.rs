@@ -1,6 +1,7 @@
-//! The server's metric surface: every counter, gauge, and histogram the
-//! reactor records, resolved once at bind time into `Arc` handles so the hot
-//! path never touches the registry lock.
+//! The front end's metric surface: every counter, gauge, and histogram the
+//! reactor records — for the query server and the router alike — resolved
+//! once at bind time into `Arc` handles so the hot path never touches the
+//! registry lock.
 //!
 //! ## Reconciliation by construction
 //!
@@ -8,9 +9,9 @@
 //! *exactly* with the verb counters inside any single scrape, even under
 //! concurrent load. That property is not enforced by locking but by thread
 //! placement: every per-verb counter and every `execute` histogram sample is
-//! mutated **only on the reactor thread** — inline verbs at execution, batch
-//! and reload completions in `apply_completion` (workers measure durations
-//! and ship them back in `Done`) — and `METRICS` renders on that same
+//! mutated **only on the reactor thread** — inline verbs at execution,
+//! offloaded ones in `apply_completion` (workers measure durations and ship
+//! them back in `Done`) — and `METRICS` renders on that same
 //! thread. Within one rendered payload, `sum(wcsd_requests_total{proto=p})`
 //! therefore equals `wcsd_request_phase_us_count{proto=p,phase="execute"}`
 //! whenever timing is enabled: the two are incremented together with no
@@ -21,6 +22,7 @@
 //! gated on [`ServerMetrics::enabled`] so a `--no-metrics` server is the
 //! no-op baseline the instrumentation-overhead bench compares against.
 
+use crate::protocol::Reply;
 use std::sync::Arc;
 use std::time::Instant;
 use wcsd_obs::{Counter, Gauge, Histogram, Registry};
@@ -211,51 +213,78 @@ impl ServerMetrics {
     }
 
     /// Records one phase sample from a duration already measured elsewhere
-    /// (worker-side batch/reload timings shipped back in `Done`).
+    /// (worker-side timings shipped back in `Done`).
     #[inline]
-    pub(crate) fn phase_us(&self, proto: usize, phase: usize, us: u64) {
+    fn phase_us(&self, proto: usize, phase: usize, us: u64) {
         if self.enabled {
             self.phases[proto][phase].record(us);
         }
     }
 
-    /// Finishes one executed request: bumps its verb counter and, when
-    /// timing is on, records the `execute` phase and checks the slow-query
-    /// threshold. `detail` is only rendered for a slow-query event.
+    /// Books the outcome of one answered request into the counters behind
+    /// `STATS`: point answers count as queries, batches as batches (so only
+    /// batches that validated and were answered count), `ERR` replies as
+    /// errors.
+    fn tally(&self, proto: usize, reply: &Reply) {
+        match reply {
+            Reply::Dist(_) | Reply::Bool(_) => self.queries.inc(),
+            Reply::Batch(answers) => {
+                self.batches.inc();
+                self.batch_queries.add(answers.len() as u64);
+            }
+            Reply::Err(_) => self.errors[proto].inc(),
+            _ => {}
+        }
+    }
+
+    /// Finishes one request answered on the reactor thread: tallies its
+    /// reply, bumps its verb counter and, when timing is on, records the
+    /// `execute` phase and checks the slow-query threshold. `detail` is only
+    /// rendered for a slow-query event.
     pub(crate) fn finish_request(
         &self,
         proto: usize,
         verb: usize,
         started: Option<Instant>,
+        reply: &Reply,
         detail: impl FnOnce() -> String,
     ) {
+        self.tally(proto, reply);
         self.verbs[proto][verb].inc();
         let Some(t0) = started else { return };
         let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         if self.enabled {
             self.phases[proto][PHASE_EXECUTE].record(us);
         }
-        if let Some(limit) = self.slow_query_us {
-            if us >= limit && matches!(verb, VERB_QUERY | VERB_WITHIN | VERB_BATCH) {
-                self.slow_queries.inc();
-                self.registry.tracer().record("slow_query", &detail(), us);
-            }
-        }
+        self.check_slow(verb, us, detail);
     }
 
     /// Finishes a worker-executed request whose durations were measured on
-    /// the worker: verb counter plus queue/execute samples, all recorded on
-    /// the reactor thread (see module docs).
-    pub(crate) fn finish_offloaded(&self, proto: usize, verb: usize, timing: Option<(u64, u64)>) {
+    /// the worker: reply tally, verb counter, and queue/execute samples, all
+    /// recorded on the reactor thread (see module docs).
+    pub(crate) fn finish_offloaded(
+        &self,
+        proto: usize,
+        verb: usize,
+        reply: &Reply,
+        timing: Option<(u64, u64)>,
+    ) {
+        self.tally(proto, reply);
         self.verbs[proto][verb].inc();
         if let Some((queue_us, exec_us)) = timing {
             self.phase_us(proto, PHASE_QUEUE, queue_us);
             self.phase_us(proto, PHASE_EXECUTE, exec_us);
-            if let Some(limit) = self.slow_query_us {
-                if exec_us >= limit && verb == VERB_BATCH {
-                    self.slow_queries.inc();
-                    self.registry.tracer().record("slow_query", "BATCH", exec_us);
-                }
+            self.check_slow(verb, exec_us, || VERB_LABELS[verb].to_ascii_uppercase());
+        }
+    }
+
+    /// Emits a `slow_query` event for a data request at or above the
+    /// threshold.
+    fn check_slow(&self, verb: usize, us: u64, detail: impl FnOnce() -> String) {
+        if let Some(limit) = self.slow_query_us {
+            if us >= limit && matches!(verb, VERB_QUERY | VERB_WITHIN | VERB_BATCH) {
+                self.slow_queries.inc();
+                self.registry.tracer().record("slow_query", &detail(), us);
             }
         }
     }

@@ -1,6 +1,8 @@
-//! The event-loop reactor: readiness-driven connection multiplexing on one
-//! thread, so concurrent connections scale past thread count and an idle
-//! server sleeps in `poll(2)` instead of busy-polling `accept`.
+//! The event-loop reactor: the one connection front end behind both the
+//! query server and the scatter-gather router. Readiness-driven connection
+//! multiplexing on one thread, so concurrent connections scale past thread
+//! count and an idle front end sleeps in `poll(2)` instead of busy-polling
+//! `accept`.
 //!
 //! ## Structure
 //!
@@ -12,49 +14,80 @@
 //! * **parse** — split the buffer into requests (newline-framed text or
 //!   length-prefixed binary, negotiated by the first byte — see
 //!   [`crate::binary`]);
-//! * **execute** — point lookups, `WITHIN`, and `STATS` run inline (they are
-//!   microsecond index probes); `BATCH` fan-out and `RELOAD` snapshot
-//!   decoding are shipped to the bounded worker pool so a large job never
+//! * **execute** — `STATS`, `METRICS`, and `SHUTDOWN` are answered by the
+//!   reactor itself; the data verbs (`QUERY`, `WITHIN`, `BATCH`, `RELOAD`)
+//!   go to the [`Executor`], which either answers on the spot or hands back
+//!   a job for the bounded worker pool, so a large or blocking job never
 //!   stalls the loop;
 //! * **write** — replies accumulate in an output buffer flushed as the
-//!   socket accepts them, with a stall deadline replacing the old blocking
-//!   `WRITE_TIMEOUT`.
+//!   socket accepts them, with a stall deadline instead of a blocking write
+//!   timeout.
 //!
 //! A connection with a job in flight pauses parsing (replies stay in request
 //! order); its completion comes back over a channel and the worker wakes the
 //! reactor out of `poll` by writing one byte to a loopback socket pair (the
 //! self-pipe trick, kept std-only).
 //!
+//! ## Executors
+//!
+//! *What* a front end serves is an [`Executor`]. Everything else lives here
+//! once, in [`Front`] and the reactor: framing and the [`MAX_LINE`] cap,
+//! `max_pending_jobs` admission with busy replies, write-stall reaping, the
+//! counters behind `STATS`, and the phase histograms behind `METRICS`. There
+//! are two executors:
+//!
+//! * **local** (`crate::server`) — the swappable `(epoch, Arc<FlatIndex>)`
+//!   slot. Point lookups and `WITHIN` run inline (microsecond index probes);
+//!   `BATCH` ships with the snapshot pinned at submission, and `RELOAD`
+//!   ships its decode and swap.
+//! * **scatter-gather** (`crate::router`) — the boundary overlay in front of
+//!   replica groups of backends. Range errors and router-cache hits are
+//!   answered inline; anything that needs backend I/O ships to the pool,
+//!   where each worker owns one set of backend connections for its lifetime.
+//!
 //! ## The `poll(2)` wrapper
 //!
 //! [`sys`] is the one place the workspace touches FFI: a `#[repr(C)]`
 //! `pollfd` with a direct `extern "C"` declaration of `poll(2)`, plus the
-//! socket calls behind [`listen_reuseaddr`] (`SO_REUSEADDR` must be set
-//! before `bind`, which std's `TcpListener` cannot express — and without it
-//! a restarted backend cannot re-acquire its port for a TIME_WAIT minute).
+//! socket calls behind [`Endpoint::bind`] (`SO_REUSEADDR` must be set before
+//! `bind`, which std's `TcpListener` cannot express — and without it a
+//! restarted backend cannot re-acquire its port for a TIME_WAIT minute).
 //! No new dependencies. Everything above it is safe Rust; non-Unix builds
 //! fall back to a short-sleep readiness stub that keeps the same
 //! level-triggered semantics against nonblocking sockets, and non-Linux
 //! builds to a plain bind.
 
 use crate::binary::{self, BinRequest};
+use crate::cache::ResultCache;
+use crate::failpoint;
 use crate::metrics::{
-    PHASE_EXECUTE, PHASE_PARSE, PHASE_QUEUE, PHASE_WRITE, PROTO_BINARY, PROTO_TEXT, VERB_BATCH,
-    VERB_METRICS, VERB_QUERY, VERB_RELOAD, VERB_SHUTDOWN, VERB_STATS, VERB_WITHIN,
+    ServerMetrics, PHASE_PARSE, PHASE_WRITE, PROTO_BINARY, PROTO_TEXT, VERB_BATCH, VERB_METRICS,
+    VERB_QUERY, VERB_RELOAD, VERB_SHUTDOWN, VERB_STATS, VERB_WITHIN,
 };
-use crate::protocol::{self, ReloadInfo, Reply, Request};
-use crate::server::{load_flat_snapshot, Shared, MAX_LINE, WRITE_TIMEOUT};
+use crate::protocol::{self, Reply, Request};
+use crate::server::{ServerConfig, ServerSnapshot};
 use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use wcsd_core::{parallel, FlatIndex};
-use wcsd_graph::{Quality, VertexId};
+use wcsd_graph::{Distance, Quality, VertexId};
+use wcsd_obs::Registry;
 
 /// One `(s, t, w)` point query.
 pub(crate) type Query = (VertexId, VertexId, Quality);
+
+/// Upper bound on how long one connection's pending output may sit without
+/// the socket accepting a single byte. A client that stops reading its
+/// replies (so the kernel send buffer fills) gets its connection dropped
+/// after this long instead of pinning memory forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest text request line accepted. Every legal request fits in a few
+/// dozen bytes; this bounds the memory a client streaming newline-free bytes
+/// can pin (the line-size analogue of [`protocol::MAX_BATCH`]).
+const MAX_LINE: usize = 64 * 1024;
 
 /// Upper bound on one poll sleep. Nothing correctness-critical hangs off
 /// this tick — completions arrive via the wake pipe — it only bounds how
@@ -252,107 +285,304 @@ mod sys {
     }
 }
 
-/// Binds `127.0.0.1:port` for listening with `SO_REUSEADDR` set (on Linux; a
-/// plain bind elsewhere), so a restarted server can re-acquire its port while
-/// connections from its previous life are still in TIME_WAIT — the
-/// self-healing story depends on a killed backend coming back on the same
-/// address. `port` 0 picks an ephemeral port, exactly like
-/// `TcpListener::bind`.
-pub(crate) fn listen_reuseaddr(port: u16) -> std::io::Result<TcpListener> {
-    sys::listen_reuseaddr(port)
+/// Front-end state every executor embeds: what serving needs regardless of
+/// *what* is served. The reactor, the worker pool, and the executor all
+/// borrow it.
+pub(crate) struct Front {
+    /// All counters, gauges, and histograms. `STATS` reads the same atomics
+    /// `METRICS` renders, so the two views cannot disagree on totals.
+    pub(crate) metrics: ServerMetrics,
+    /// The result cache; the executor decides what its epochs mean.
+    pub(crate) cache: ResultCache,
+    /// Threads in the worker pool.
+    batch_workers: usize,
+    /// Admission cap on offloaded jobs queued or executing.
+    max_pending_jobs: usize,
+    started: Instant,
+    /// Set by `SHUTDOWN`; the reactor (and the router's prober) exit on it.
+    pub(crate) shutdown: AtomicBool,
+}
+
+impl Front {
+    /// Builds the front end `config` describes, serving an index of
+    /// `vertices` vertices and `entries` entries at generation 1.
+    pub(crate) fn new(config: &ServerConfig, vertices: usize, entries: usize) -> Self {
+        let registry = config.registry.clone().unwrap_or_else(|| Arc::new(Registry::new()));
+        let batch_workers = config.batch_workers.max(1);
+        let max_pending_jobs = config.max_pending_jobs.max(1);
+        let cache = ResultCache::new(config.cache_capacity, config.cache_shards);
+        let metrics = ServerMetrics::new(
+            registry,
+            config.metrics_enabled,
+            config.slow_query_ms,
+            batch_workers,
+            config.cache_capacity,
+            max_pending_jobs,
+        );
+        // The registry renders the cache's own live counters — one set of
+        // atomics behind both STATS and METRICS.
+        metrics.registry.register_counter(
+            "wcsd_cache_hits_total",
+            &[],
+            "Result-cache hits",
+            cache.hit_counter(),
+        );
+        metrics.registry.register_counter(
+            "wcsd_cache_misses_total",
+            &[],
+            "Result-cache misses",
+            cache.miss_counter(),
+        );
+        metrics.generation.set(1);
+        metrics.index_vertices.set(vertices as i64);
+        metrics.index_entries.set(entries as i64);
+        Self {
+            metrics,
+            cache,
+            batch_workers,
+            max_pending_jobs,
+            started: Instant::now(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// Point-in-time counter snapshot for an index of `vertices` vertices
+    /// and `entries` entries at `generation`. One read per atomic; the
+    /// derived hit rate is computed from this snapshot's own hit/miss
+    /// values, never from a second load.
+    pub(crate) fn snapshot(
+        &self,
+        vertices: usize,
+        entries: usize,
+        generation: u64,
+    ) -> ServerSnapshot {
+        let m = &self.metrics;
+        ServerSnapshot {
+            vertices,
+            entries,
+            generation,
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            connections: m.connections.get(),
+            live_connections: m.live_connections.get().max(0) as u64,
+            text_connections: m.proto_connections[PROTO_TEXT].get(),
+            binary_connections: m.proto_connections[PROTO_BINARY].get(),
+            reloads: m.reloads.get(),
+            queries: m.queries.get(),
+            batches: m.batches.get(),
+            batch_queries: m.batch_queries.get(),
+            shed: m.shed[PROTO_TEXT].get() + m.shed[PROTO_BINARY].get(),
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+        }
+    }
+
+    /// Answers one `BATCH` through the cache under `epoch`: every line is
+    /// range-checked against an index of `n` vertices first, hits come from
+    /// memory, and the misses go through one `compute` call whose answers
+    /// are cached.
+    pub(crate) fn cached_batch(
+        &self,
+        n: usize,
+        epoch: u64,
+        queries: &[Query],
+        compute: impl FnOnce(&[Query]) -> Result<Vec<Option<Distance>>, String>,
+    ) -> Result<Vec<Option<Distance>>, String> {
+        for (i, &(s, t, _)) in queries.iter().enumerate() {
+            check_range(n, s, t).map_err(|reason| format!("batch line {}: {reason}", i + 1))?;
+        }
+        let mut answers = Vec::with_capacity(queries.len());
+        let (mut misses, mut miss_slots) = (Vec::new(), Vec::new());
+        for (i, &(s, t, w)) in queries.iter().enumerate() {
+            let hit = self.cache.get(&(epoch, s, t, w));
+            if hit.is_none() {
+                misses.push((s, t, w));
+                miss_slots.push(i);
+            }
+            answers.push(hit.flatten());
+        }
+        if !misses.is_empty() {
+            let computed = compute(&misses)?;
+            for ((slot, &(s, t, w)), answer) in miss_slots.into_iter().zip(&misses).zip(computed) {
+                self.cache.insert((epoch, s, t, w), answer);
+                answers[slot] = answer;
+            }
+        }
+        Ok(answers)
+    }
+
+    /// Renders one `METRICS` reply body: the Prometheus exposition, or (with
+    /// `recent`) the trace ring — the slow-query log plus reload events — as
+    /// one JSON document. Both end in a newline so the sized text reply
+    /// stays line-friendly. Called on the reactor thread only, which is what
+    /// makes the counter/histogram reconciliation exact (see
+    /// [`crate::metrics`]).
+    fn metrics_payload(&self, recent: bool) -> String {
+        if recent {
+            let mut json = self.metrics.registry.tracer().dump_json();
+            json.push('\n');
+            json
+        } else {
+            self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
+            self.metrics.registry.render()
+        }
+    }
+}
+
+/// A data request, handed to the [`Executor`].
+pub(crate) enum Work {
+    /// `QUERY s t w`.
+    Query(Query),
+    /// `WITHIN s t w d`.
+    Within(Query, Distance),
+    /// A non-empty `BATCH` (the reactor answers `BATCH 0` itself).
+    Batch(Vec<Query>),
+    /// `RELOAD <path>`.
+    Reload(String),
+}
+
+impl Work {
+    fn verb(&self) -> usize {
+        match self {
+            Self::Query(_) => VERB_QUERY,
+            Self::Within(..) => VERB_WITHIN,
+            Self::Batch(_) => VERB_BATCH,
+            Self::Reload(_) => VERB_RELOAD,
+        }
+    }
+
+    /// The request as the slow-query log names it.
+    fn describe(&self) -> String {
+        match self {
+            Self::Query((s, t, w)) => format!("QUERY {s} {t} {w}"),
+            Self::Within((s, t, w), d) => format!("WITHIN {s} {t} {w} {d}"),
+            Self::Batch(queries) => format!("BATCH {}", queries.len()),
+            Self::Reload(path) => format!("RELOAD {path}"),
+        }
+    }
+}
+
+/// How an executor takes on a [`Work`] item.
+pub(crate) enum Start<J> {
+    /// Answered on the reactor thread.
+    Inline(Reply),
+    /// Needs the worker pool (a big or blocking job).
+    Ship(J),
+}
+
+/// What a front end serves. The reactor owns connections, framing,
+/// admission, and metrics; the executor only turns data requests into
+/// replies.
+pub(crate) trait Executor: Sync {
+    /// A shipped request, with whatever it pinned at submission.
+    type Job: Send;
+    /// Per-worker state, built once on each pool thread.
+    type Worker;
+    /// The front-end state this executor embeds.
+    fn front(&self) -> &Front;
+    /// The `STATS` snapshot, including the shape of what is served.
+    fn stats(&self) -> ServerSnapshot;
+    /// Builds one pool worker's state.
+    fn worker(&self) -> Self::Worker;
+    /// Answers `work` on the reactor thread, or hands back the job to ship.
+    fn start(&self, work: Work) -> Start<Self::Job>;
+    /// Runs one shipped job on a pool worker.
+    fn run(&self, worker: &mut Self::Worker, job: Self::Job) -> Reply;
+}
+
+/// A bound but not yet running front end: the listener plus the wake pipe
+/// its workers use.
+pub(crate) struct Endpoint {
+    listener: TcpListener,
+    wake_rx: TcpStream,
+    wake_tx: WakeSender,
+    /// The address the listener is bound to.
+    pub(crate) local_addr: SocketAddr,
+}
+
+impl Endpoint {
+    /// Binds `127.0.0.1:port` for listening with `SO_REUSEADDR` set (on
+    /// Linux; a plain bind elsewhere), so a restarted server can re-acquire
+    /// its port while connections from its previous life are still in
+    /// TIME_WAIT — the self-healing story depends on a killed backend coming
+    /// back on the same address. `port` 0 picks an ephemeral port, exactly
+    /// like `TcpListener::bind`.
+    pub(crate) fn bind(port: u16) -> std::io::Result<Self> {
+        let listener = sys::listen_reuseaddr(port)?;
+        let local_addr = listener.local_addr()?;
+        let (wake_rx, wake_tx) = wake_pair()?;
+        Ok(Self { listener, wake_rx, wake_tx, local_addr })
+    }
+}
+
+/// Serves `endpoint` with `exec` until a client sends `SHUTDOWN`: spawns the
+/// bounded worker pool, runs the reactor on the calling thread, and returns
+/// once the pool has drained.
+pub(crate) fn serve<E: Executor>(exec: &E, endpoint: Endpoint) {
+    let Endpoint { listener, wake_rx, wake_tx, .. } = endpoint;
+    let (job_tx, job_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let job_rx = Mutex::new(job_rx);
+    std::thread::scope(|scope| {
+        for _ in 0..exec.front().batch_workers {
+            let (job_rx, done_tx, wake) = (&job_rx, done_tx.clone(), wake_tx.clone());
+            scope.spawn(move || worker(exec, job_rx, done_tx, wake));
+        }
+        drop(done_tx);
+        // The reactor owns the job sender: when `run` returns it drops, the
+        // workers' `recv` disconnects, and the scope joins.
+        Reactor::new(exec, listener, wake_rx, job_tx, done_rx).run();
+    });
 }
 
 /// Work shipped from the reactor to the bounded worker pool. Every job
 /// carries the connection slot and generation that requested it, so a
 /// completion for a connection that died (and whose slot was reused) is
 /// recognised and dropped.
-pub(crate) enum Job {
-    /// A `BATCH` fan-out over the snapshot captured at submission. Pinning
-    /// `(epoch, index)` here is what makes every batch reply consistent with
-    /// exactly one snapshot across a concurrent `RELOAD`.
-    Batch {
-        /// Connection slot awaiting the reply.
-        conn: usize,
-        /// Generation of that slot at submission time.
-        gen: u64,
-        /// Cache epoch paired with `index`.
-        epoch: u64,
-        /// The snapshot this batch is answered from.
-        index: Arc<FlatIndex>,
-        /// The batch body.
-        queries: Vec<Query>,
-        /// Protocol index of the submitting connection (metric attribution).
-        proto: usize,
-        /// Submission time when timing is enabled; the worker derives the
-        /// queue/execute split from it and ships both back in `Done`.
-        submitted: Option<Instant>,
-    },
-    /// A `RELOAD`: read + decode + validate a snapshot off the reactor
-    /// thread. The reactor performs the actual swap on completion, so
-    /// installs are serialized.
-    Reload {
-        /// Connection slot awaiting the reply.
-        conn: usize,
-        /// Generation of that slot at submission time.
-        gen: u64,
-        /// Snapshot path on the server's filesystem.
-        path: String,
-        /// Protocol index of the submitting connection (metric attribution).
-        proto: usize,
-        /// Submission time when timing is enabled.
-        submitted: Option<Instant>,
-    },
+struct Job<J> {
+    /// Connection slot awaiting the reply.
+    conn: usize,
+    /// Generation of that slot at submission time.
+    gen: u64,
+    /// Protocol index of the submitting connection (metric attribution).
+    proto: usize,
+    /// Verb index of the request (metric attribution).
+    verb: usize,
+    /// Submission time when timing is enabled; the worker derives the
+    /// queue/execute split from it and ships both back in `Done`.
+    submitted: Option<Instant>,
+    /// The executor's job.
+    work: J,
 }
 
 /// A completion flowing back from a worker.
-pub(crate) enum Done {
-    /// Answers (or a validation error) for a submitted batch.
-    Batch {
-        /// Connection slot the job belonged to.
-        conn: usize,
-        /// Slot generation at submission time.
-        gen: u64,
-        /// Protocol index of the submitting connection.
-        proto: usize,
-        /// In-order answers, or why the batch was rejected.
-        result: Result<Vec<Option<u32>>, String>,
-        /// `(queue_us, execute_us)` measured on the worker, present when
-        /// timing is enabled. The reactor records these into the phase
-        /// histograms at completion, keeping every histogram mutation on
-        /// the reactor thread (see [`crate::metrics`]).
-        timing: Option<(u64, u64)>,
-    },
-    /// A decoded snapshot (or the load error) for a submitted reload.
-    Reload {
-        /// Connection slot the job belonged to.
-        conn: usize,
-        /// Slot generation at submission time.
-        gen: u64,
-        /// Protocol index of the submitting connection.
-        proto: usize,
-        /// The decoded snapshot, ready to install.
-        result: Result<FlatIndex, String>,
-        /// `(queue_us, decode_us)` measured on the worker; the reactor adds
-        /// the swap time it measures itself.
-        timing: Option<(u64, u64)>,
-    },
+struct Done {
+    conn: usize,
+    gen: u64,
+    proto: usize,
+    verb: usize,
+    reply: Reply,
+    /// `(queue_us, execute_us)` measured on the worker, present when timing
+    /// is enabled. The reactor records these into the phase histograms at
+    /// completion, keeping every request-level histogram mutation on the
+    /// reactor thread (see [`crate::metrics`]).
+    timing: Option<(u64, u64)>,
 }
 
 /// Write end of the reactor wake pipe, cloned into every worker.
 #[derive(Clone)]
-pub(crate) struct WakeSender(Arc<TcpStream>);
+struct WakeSender(Arc<TcpStream>);
 
 impl WakeSender {
     /// Nudges the reactor out of `poll`. A full pipe means a wake is already
     /// pending, so every error is ignorable.
-    pub(crate) fn wake(&self) {
+    fn wake(&self) {
         let _ = (&*self.0).write(&[1]);
     }
 }
 
 /// Builds the self-pipe the workers use to wake the reactor: a loopback
 /// socket pair (std has no `pipe(2)`), both ends nonblocking.
-pub(crate) fn wake_pair() -> std::io::Result<(TcpStream, WakeSender)> {
+fn wake_pair() -> std::io::Result<(TcpStream, WakeSender)> {
     let gate = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
     let tx = TcpStream::connect(gate.local_addr()?)?;
     // The ephemeral gate port is globally connectable for an instant; only
@@ -370,46 +600,43 @@ pub(crate) fn wake_pair() -> std::io::Result<(TcpStream, WakeSender)> {
     Ok((rx, WakeSender(Arc::new(tx))))
 }
 
-/// Body of one pool worker: pull jobs until the reactor hangs up, answer
-/// each, wake the reactor. Workers share the receiver behind a mutex (the
-/// idle ones queue on the lock), so the pool is bounded by construction.
-pub(crate) fn worker(
-    shared: &Shared,
-    jobs: &Mutex<Receiver<Job>>,
+/// Body of one pool worker: build the executor's per-worker state, then pull
+/// jobs until the reactor hangs up, answer each, wake the reactor. Workers
+/// share the receiver behind a mutex (the idle ones queue on the lock), so
+/// the pool is bounded by construction.
+fn worker<E: Executor>(
+    exec: &E,
+    jobs: &Mutex<Receiver<Job<E::Job>>>,
     done: Sender<Done>,
     wake: WakeSender,
 ) {
+    let mut state = exec.worker();
+    let busy = &exec.front().metrics.workers_busy;
     loop {
         let job = match jobs.lock() {
             Ok(rx) => rx.recv(),
             Err(_) => return, // a worker panicked while holding the lock
         };
-        let Ok(job) = job else { return };
-        shared.metrics.workers_busy.inc();
-        let completion = match job {
-            Job::Batch { conn, gen, epoch, index, queries, proto, submitted } => {
-                let started = submitted.map(|_| Instant::now());
-                // Chaos site: `fail` poisons this batch (the client sees an
-                // ERR, never a wrong answer); `delay:<ms>` stalls the worker
-                // so tests can fill the pending queue deterministically.
-                let result = match crate::failpoint::fire("worker.batch") {
-                    Some(crate::failpoint::Action::Fail | crate::failpoint::Action::Refuse) => {
-                        Err("injected batch failure".to_string())
-                    }
-                    _ => run_batch(shared, epoch, &index, &queries),
-                };
-                let timing = job_timing(submitted, started);
-                Done::Batch { conn, gen, proto, result, timing }
-            }
-            Job::Reload { conn, gen, path, proto, submitted } => {
-                let started = submitted.map(|_| Instant::now());
-                let result = load_flat_snapshot(&path);
-                let timing = job_timing(submitted, started);
-                Done::Reload { conn, gen, proto, result, timing }
-            }
+        let Ok(Job { conn, gen, proto, verb, submitted, work }) = job else { return };
+        busy.inc();
+        let started = submitted.map(|_| Instant::now());
+        // Chaos site, in server and router pools alike: `fail` poisons this
+        // batch (the client sees an ERR, never a wrong answer); `delay:<ms>`
+        // stalls the worker so tests can fill the pending queue
+        // deterministically.
+        let injected = verb == VERB_BATCH
+            && matches!(
+                failpoint::fire("worker.batch"),
+                Some(failpoint::Action::Fail | failpoint::Action::Refuse)
+            );
+        let reply = if injected {
+            Reply::Err("injected batch failure".to_string())
+        } else {
+            exec.run(&mut state, work)
         };
-        shared.metrics.workers_busy.dec();
-        if done.send(completion).is_err() {
+        let timing = job_timing(submitted, started);
+        busy.dec();
+        if done.send(Done { conn, gen, proto, verb, reply, timing }).is_err() {
             return; // reactor gone: shutdown finished without us
         }
         wake.wake();
@@ -426,8 +653,20 @@ fn job_timing(submitted: Option<Instant>, started: Option<Instant>) -> Option<(u
 }
 
 /// Saturating microseconds of a duration.
-fn dur_us(d: Duration) -> u64 {
+pub(crate) fn dur_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Validates a query's endpoints against an index of `n` vertices. Both
+/// executors share it, so the router and a direct server reject with
+/// identical wording.
+pub(crate) fn check_range(n: usize, s: VertexId, t: VertexId) -> Result<(), String> {
+    for v in [s, t] {
+        if v as usize >= n {
+            return Err(format!("vertex {v} out of range (index covers 0..{n})"));
+        }
+    }
+    Ok(())
 }
 
 /// Maps a connection's wire mode to a metrics protocol index. `Detect`
@@ -438,40 +677,6 @@ fn proto_idx(mode: Mode) -> usize {
         Mode::Binary => PROTO_BINARY,
         Mode::Text | Mode::Detect => PROTO_TEXT,
     }
-}
-
-/// Answers one batch against the pinned snapshot: range-validate, serve
-/// cache hits, fan the misses out across [`parallel::par_distances`], insert
-/// the computed answers back under the pinned epoch.
-fn run_batch(
-    shared: &Shared,
-    epoch: u64,
-    index: &FlatIndex,
-    queries: &[Query],
-) -> Result<Vec<Option<u32>>, String> {
-    for (i, &(s, t, _)) in queries.iter().enumerate() {
-        check_range(index, s, t).map_err(|reason| format!("batch line {}: {reason}", i + 1))?;
-    }
-    let mut answers: Vec<Option<Option<u32>>> = Vec::with_capacity(queries.len());
-    let mut misses: Vec<Query> = Vec::new();
-    let mut miss_slots: Vec<usize> = Vec::new();
-    for (i, &(s, t, w)) in queries.iter().enumerate() {
-        match shared.cache.get(&(epoch, s, t, w)) {
-            Some(answer) => answers.push(Some(answer)),
-            None => {
-                answers.push(None);
-                misses.push((s, t, w));
-                miss_slots.push(i);
-            }
-        }
-    }
-    let computed =
-        parallel::par_distances_with(index, &misses, shared.batch_threads, shared.query_impl);
-    for (slot, (&(s, t, w), answer)) in miss_slots.into_iter().zip(misses.iter().zip(computed)) {
-        shared.cache.insert((epoch, s, t, w), answer);
-        answers[slot] = Some(answer);
-    }
-    Ok(answers.into_iter().map(|a| a.expect("every slot answered")).collect())
 }
 
 /// Wire framing of one connection, negotiated from its first byte.
@@ -617,11 +822,12 @@ impl Conn {
 
 /// The reactor itself; see the module docs. `run` consumes it and returns
 /// when a `SHUTDOWN` has been processed.
-pub(crate) struct Reactor<'a> {
-    shared: &'a Shared,
+struct Reactor<'a, E: Executor> {
+    exec: &'a E,
+    front: &'a Front,
     listener: TcpListener,
     wake_rx: TcpStream,
-    jobs: Sender<Job>,
+    jobs: Sender<Job<E::Job>>,
     done: Receiver<Done>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -629,23 +835,24 @@ pub(crate) struct Reactor<'a> {
     /// Jobs submitted to the pool whose completions have not come back yet
     /// (queued + executing). Incremented at submission and decremented in
     /// `apply_completion` — both on the reactor thread, so the admission
-    /// check in `submit_*` reads an exact count with no atomics. At
-    /// `Shared::max_pending_jobs`, new offloaded work is shed with
+    /// check in `submit` reads an exact count with no atomics. At the
+    /// front end's `max_pending_jobs`, new offloaded work is shed with
     /// [`Reply::Busy`].
     pending_jobs: usize,
 }
 
-impl<'a> Reactor<'a> {
-    pub(crate) fn new(
-        shared: &'a Shared,
+impl<'a, E: Executor> Reactor<'a, E> {
+    fn new(
+        exec: &'a E,
         listener: TcpListener,
         wake_rx: TcpStream,
-        jobs: Sender<Job>,
+        jobs: Sender<Job<E::Job>>,
         done: Receiver<Done>,
     ) -> Self {
         let _ = listener.set_nonblocking(true);
         Self {
-            shared,
+            exec,
+            front: exec.front(),
             listener,
             wake_rx,
             jobs,
@@ -660,11 +867,11 @@ impl<'a> Reactor<'a> {
     /// The event loop. Exits once the shutdown flag is observed, after a
     /// bounded wait for in-flight worker jobs and a best-effort final flush
     /// of every connection's pending output.
-    pub(crate) fn run(mut self) {
+    fn run(mut self) {
         let mut fds = Vec::new();
         let mut slots = Vec::new();
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.front.shutdown.load(Ordering::SeqCst) {
                 self.drain_and_close_all();
                 return;
             }
@@ -724,16 +931,16 @@ impl<'a> Reactor<'a> {
                     // that accepts then dies; `delay:<ms>` stalls the accept
                     // path.
                     if matches!(
-                        crate::failpoint::fire("reactor.accept"),
-                        Some(crate::failpoint::Action::Refuse | crate::failpoint::Action::Fail)
+                        failpoint::fire("reactor.accept"),
+                        Some(failpoint::Action::Refuse | failpoint::Action::Fail)
                     ) {
                         drop(stream);
                         continue;
                     }
                     let _ = stream.set_nonblocking(true);
                     stream.set_nodelay(true).ok();
-                    self.shared.metrics.connections.inc();
-                    self.shared.metrics.live_connections.inc();
+                    self.front.metrics.connections.inc();
+                    self.front.metrics.live_connections.inc();
                     self.next_gen += 1;
                     let conn = Conn::new(stream, self.next_gen);
                     match self.free.pop() {
@@ -761,79 +968,15 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Applies one worker completion: reloads install their snapshot here,
-    /// so swaps are serialized on the reactor thread. Verb counters and
-    /// phase samples for offloaded requests land here too — on the reactor
-    /// thread, with the durations the worker measured — which is what keeps
-    /// every `METRICS` payload self-consistent (see [`crate::metrics`]).
+    /// Applies one worker completion. Its verb counter and phase samples
+    /// land here — on the reactor thread, with the durations the worker
+    /// measured — which is what keeps every `METRICS` payload
+    /// self-consistent (see [`crate::metrics`]).
     fn apply_completion(&mut self, done: Done) {
         self.retire_job();
-        // Copy the `&Shared` out so the metrics borrow does not pin `self`
-        // (delivery below needs `&mut self`).
-        let shared = self.shared;
-        let m = &shared.metrics;
-        match done {
-            Done::Batch { conn, gen, proto, result, timing } => {
-                m.finish_offloaded(proto, VERB_BATCH, timing);
-                let reply = match result {
-                    Ok(answers) => {
-                        // Counted here, not at submission, so STATS counts
-                        // only batches that validated and were answered —
-                        // matching the parse-failure path, which never
-                        // reaches the pool at all.
-                        m.batches.inc();
-                        m.batch_queries.add(answers.len() as u64);
-                        Reply::Batch(answers)
-                    }
-                    Err(reason) => {
-                        m.errors[proto].inc();
-                        Reply::Err(reason)
-                    }
-                };
-                self.deliver(conn, gen, reply);
-            }
-            Done::Reload { conn, gen, proto, result, timing } => {
-                let reply = match result {
-                    Ok(flat) => {
-                        let stats = flat.stats();
-                        let swap_t0 = m.timer();
-                        let generation = self.shared.install(Arc::new(flat));
-                        let swap_us = swap_t0.map(|t| dur_us(t.elapsed())).unwrap_or(0);
-                        if let Some((queue_us, decode_us)) = timing {
-                            m.phase_us(proto, PHASE_QUEUE, queue_us);
-                            m.phase_us(proto, PHASE_EXECUTE, decode_us + swap_us);
-                            if m.enabled {
-                                m.reload_decode_us.record(decode_us);
-                                m.reload_swap_us.record(swap_us);
-                                m.registry.tracer().record(
-                                    "reload",
-                                    &format!(
-                                        "generation={generation} vertices={} entries={}",
-                                        stats.num_vertices, stats.total_entries
-                                    ),
-                                    decode_us + swap_us,
-                                );
-                            }
-                        }
-                        Reply::Reloaded(ReloadInfo {
-                            generation,
-                            vertices: stats.num_vertices as u64,
-                            entries: stats.total_entries as u64,
-                        })
-                    }
-                    Err(reason) => {
-                        m.errors[proto].inc();
-                        if let Some((queue_us, decode_us)) = timing {
-                            m.phase_us(proto, PHASE_QUEUE, queue_us);
-                            m.phase_us(proto, PHASE_EXECUTE, decode_us);
-                        }
-                        Reply::Err(reason)
-                    }
-                };
-                m.verbs[proto][VERB_RELOAD].inc();
-                self.deliver(conn, gen, reply);
-            }
-        }
+        let Done { conn, gen, proto, verb, reply, timing } = done;
+        self.front.metrics.finish_offloaded(proto, verb, &reply, timing);
+        self.deliver(conn, gen, reply);
     }
 
     /// Hands a completion reply to its connection — unless the connection
@@ -863,9 +1006,9 @@ impl<'a> Reactor<'a> {
             if conn.has_output() {
                 // The write phase is sampled per flush *with pending bytes*,
                 // not per request — pipelined replies share one flush.
-                let t0 = self.shared.metrics.timer();
+                let t0 = self.front.metrics.timer();
                 alive = conn.flush();
-                self.shared.metrics.phase(proto_idx(conn.mode), PHASE_WRITE, t0);
+                self.front.metrics.phase(proto_idx(conn.mode), PHASE_WRITE, t0);
             } else {
                 alive = conn.flush();
             }
@@ -888,7 +1031,7 @@ impl<'a> Reactor<'a> {
             // The conn was taken out of its slot above, so dropping it here
             // closes the socket; only the bookkeeping is left to do.
             drop(conn);
-            self.shared.metrics.live_connections.dec();
+            self.front.metrics.live_connections.dec();
             self.free.push(slot);
         }
     }
@@ -932,6 +1075,9 @@ impl<'a> Reactor<'a> {
     }
 
     fn process_inner(&mut self, conn: &mut Conn, slot: usize) {
+        // Copy the `&Front` out so the metrics borrow does not pin `self`.
+        let front = self.front;
+        let m = &front.metrics;
         loop {
             if conn.close_after_flush || matches!(conn.state, ConnState::AwaitJob) {
                 return;
@@ -946,9 +1092,9 @@ impl<'a> Reactor<'a> {
                         let version = conn.input()[1];
                         conn.consume(2);
                         conn.mode = Mode::Binary;
-                        self.shared.metrics.proto_connections[PROTO_BINARY].inc();
+                        m.proto_connections[PROTO_BINARY].inc();
                         if version != binary::VERSION {
-                            self.shared.metrics.errors[PROTO_BINARY].inc();
+                            m.errors[PROTO_BINARY].inc();
                             conn.push_reply(&Reply::Err(format!(
                                 "unsupported binary protocol version {version} (expected {})",
                                 binary::VERSION
@@ -957,7 +1103,7 @@ impl<'a> Reactor<'a> {
                         }
                     } else {
                         conn.mode = Mode::Text;
-                        self.shared.metrics.proto_connections[PROTO_TEXT].inc();
+                        m.proto_connections[PROTO_TEXT].inc();
                     }
                 }
                 Mode::Text => {
@@ -1002,19 +1148,19 @@ impl<'a> Reactor<'a> {
                     }
                     // Decode straight from the buffer (a max-size batch body
                     // is ~12 MB — no copy); the parsed request owns its data.
-                    let t_parse = self.shared.metrics.timer();
+                    let t_parse = m.timer();
                     let req = binary::decode_request(&input[4..4 + len]);
-                    self.shared.metrics.phase(PROTO_BINARY, PHASE_PARSE, t_parse);
+                    m.phase(PROTO_BINARY, PHASE_PARSE, t_parse);
                     conn.consume(4 + len);
                     match req {
                         // Framing is still intact after a bad body, so a
                         // malformed frame poisons one request, not the
                         // connection.
                         Err(reason) => {
-                            self.shared.metrics.errors[PROTO_BINARY].inc();
+                            m.errors[PROTO_BINARY].inc();
                             conn.push_reply(&Reply::Err(reason));
                         }
-                        Ok(req) => self.dispatch_binary(conn, slot, req),
+                        Ok(req) => self.dispatch(conn, slot, req),
                     }
                 }
             }
@@ -1024,14 +1170,18 @@ impl<'a> Reactor<'a> {
     /// Rejects a text line longer than [`MAX_LINE`] and drops the
     /// connection: the rest of the line is unread (or deliberately
     /// unparsed), so framing is lost either way.
-    fn overlong_line(&mut self, conn: &mut Conn) {
-        self.shared.metrics.errors[PROTO_TEXT].inc();
+    fn overlong_line(&self, conn: &mut Conn) {
+        self.front.metrics.errors[PROTO_TEXT].inc();
         conn.push_reply(&Reply::Err(format!("request line exceeds {MAX_LINE} bytes")));
         conn.close_after_flush = true;
     }
 
     /// One complete text line: either a request or a `BATCH` body line.
+    /// Requests are translated to the binary protocol's request type, so
+    /// both protocols share [`Self::dispatch`].
     fn handle_text_line(&mut self, conn: &mut Conn, slot: usize, line: &str) {
+        let front = self.front;
+        let m = &front.metrics;
         if let ConnState::TextBatch { expect, mut seen, mut queries, mut invalid } =
             std::mem::replace(&mut conn.state, ConnState::Ready)
         {
@@ -1050,10 +1200,10 @@ impl<'a> Reactor<'a> {
                         // Never executed, so no verb count or phase sample —
                         // only the error counter (matching binary decode
                         // failures, where the verb is unknowable).
-                        self.shared.metrics.errors[PROTO_TEXT].inc();
+                        m.errors[PROTO_TEXT].inc();
                         conn.push_reply(&Reply::Err(reason));
                     }
-                    None => self.submit_batch(conn, slot, queries),
+                    None => self.dispatch(conn, slot, BinRequest::Batch { queries }),
                 }
             } else {
                 conn.state = ConnState::TextBatch { expect, seen, queries, invalid };
@@ -1063,206 +1213,122 @@ impl<'a> Reactor<'a> {
         if line.trim().is_empty() {
             return; // blank keep-alive lines are not an error
         }
-        let shared = self.shared;
-        let m = &shared.metrics;
         let t_parse = m.timer();
         let parsed = protocol::parse_request(line);
         m.phase(PROTO_TEXT, PHASE_PARSE, t_parse);
-        match parsed {
+        let req = match parsed {
             Err(reason) => {
                 m.errors[PROTO_TEXT].inc();
                 conn.push_reply(&Reply::Err(reason));
+                return;
             }
-            Ok(Request::Query { s, t, w }) => {
-                let t0 = m.timer();
-                let reply = self.exec_query(s, t, w);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_TEXT].inc();
-                }
-                m.finish_request(PROTO_TEXT, VERB_QUERY, t0, || format!("QUERY {s} {t} {w}"));
-                conn.push_reply(&reply);
-            }
-            Ok(Request::Within { s, t, w, d }) => {
-                let t0 = m.timer();
-                let reply = self.exec_within(s, t, w, d);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_TEXT].inc();
-                }
-                m.finish_request(PROTO_TEXT, VERB_WITHIN, t0, || format!("WITHIN {s} {t} {w} {d}"));
-                conn.push_reply(&reply);
-            }
-            Ok(Request::Batch { n: 0 }) => {
-                let t0 = m.timer();
-                m.batches.inc();
-                m.finish_request(PROTO_TEXT, VERB_BATCH, t0, || "BATCH 0".to_string());
-                conn.push_reply(&Reply::Batch(Vec::new()));
-            }
-            Ok(Request::Batch { n }) => {
-                // Verb counted when the body completes (see `apply_completion`
-                // and the invalid-body arm above).
+            Ok(Request::Batch { n }) if n > 0 => {
+                // Verb counted when the body completes and is answered.
                 conn.state = ConnState::TextBatch {
                     expect: n,
                     seen: 0,
                     queries: Vec::with_capacity(n.min(4096)),
                     invalid: None,
                 };
+                return;
             }
-            Ok(Request::Stats) => {
-                let t0 = m.timer();
-                let reply = Reply::Stats(shared.snapshot().encode());
-                m.finish_request(PROTO_TEXT, VERB_STATS, t0, || "STATS".to_string());
-                conn.push_reply(&reply);
-            }
-            Ok(Request::Metrics { recent }) => {
-                let t0 = m.timer();
-                let payload = metrics_payload(shared, recent);
-                // Counted *after* rendering: the in-flight METRICS request is
-                // absent from both its own counter and its own histogram, so
-                // the payload stays internally consistent.
-                m.finish_request(PROTO_TEXT, VERB_METRICS, t0, || "METRICS".to_string());
-                conn.push_reply(&Reply::Metrics(payload));
-            }
-            Ok(Request::Reload { path }) => self.submit_reload(conn, slot, path),
-            Ok(Request::Shutdown) => {
-                let t0 = m.timer();
-                self.begin_shutdown(conn);
-                m.finish_request(PROTO_TEXT, VERB_SHUTDOWN, t0, || "SHUTDOWN".to_string());
-            }
-        }
+            Ok(Request::Batch { .. }) => BinRequest::Batch { queries: Vec::new() },
+            Ok(Request::Query { s, t, w }) => BinRequest::Query { s, t, w },
+            Ok(Request::Within { s, t, w, d }) => BinRequest::Within { s, t, w, d },
+            Ok(Request::Stats) => BinRequest::Stats,
+            Ok(Request::Metrics { recent }) => BinRequest::Metrics { recent },
+            Ok(Request::Reload { path }) => BinRequest::Reload { path },
+            Ok(Request::Shutdown) => BinRequest::Shutdown,
+        };
+        self.dispatch(conn, slot, req);
     }
 
-    /// One parsed binary request.
-    fn dispatch_binary(&mut self, conn: &mut Conn, slot: usize, req: BinRequest) {
-        let shared = self.shared;
-        let m = &shared.metrics;
-        match req {
-            BinRequest::Query { s, t, w } => {
-                let t0 = m.timer();
-                let reply = self.exec_query(s, t, w);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_BINARY].inc();
-                }
-                m.finish_request(PROTO_BINARY, VERB_QUERY, t0, || format!("QUERY {s} {t} {w}"));
-                conn.push_reply(&reply);
-            }
-            BinRequest::Within { s, t, w, d } => {
-                let t0 = m.timer();
-                let reply = self.exec_within(s, t, w, d);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_BINARY].inc();
-                }
-                m.finish_request(PROTO_BINARY, VERB_WITHIN, t0, || {
-                    format!("WITHIN {s} {t} {w} {d}")
-                });
-                conn.push_reply(&reply);
-            }
+    /// One parsed request, on either protocol: the reactor answers the
+    /// admin verbs and `BATCH 0`; the executor takes the rest, inline or
+    /// through the pool.
+    fn dispatch(&mut self, conn: &mut Conn, slot: usize, req: BinRequest) {
+        let front = self.front;
+        let t0 = front.metrics.timer();
+        let work = match req {
+            BinRequest::Query { s, t, w } => Work::Query((s, t, w)),
+            BinRequest::Within { s, t, w, d } => Work::Within((s, t, w), d),
             BinRequest::Batch { queries } if queries.is_empty() => {
-                let t0 = m.timer();
-                m.batches.inc();
-                m.finish_request(PROTO_BINARY, VERB_BATCH, t0, || "BATCH 0".to_string());
-                conn.push_reply(&Reply::Batch(Vec::new()));
+                let reply = Reply::Batch(Vec::new());
+                return self.reply(conn, VERB_BATCH, t0, reply, || "BATCH 0".to_string());
             }
-            BinRequest::Batch { queries } => self.submit_batch(conn, slot, queries),
+            BinRequest::Batch { queries } => Work::Batch(queries),
+            BinRequest::Reload { path } => Work::Reload(path),
             BinRequest::Stats => {
-                let t0 = m.timer();
-                let reply = Reply::Stats(shared.snapshot().encode());
-                m.finish_request(PROTO_BINARY, VERB_STATS, t0, || "STATS".to_string());
-                conn.push_reply(&reply);
+                let stats = self.exec.stats().encode();
+                return self.reply(conn, VERB_STATS, t0, Reply::Stats(stats), String::new);
             }
             BinRequest::Metrics { recent } => {
-                let t0 = m.timer();
-                let payload = metrics_payload(shared, recent);
-                // Counted after rendering — see the text-protocol arm.
-                m.finish_request(PROTO_BINARY, VERB_METRICS, t0, || "METRICS".to_string());
-                conn.push_reply(&Reply::Metrics(payload));
+                // Counted *after* rendering: the in-flight METRICS request
+                // is absent from both its own counter and its own histogram,
+                // so the payload stays internally consistent.
+                let payload = front.metrics_payload(recent);
+                return self.reply(conn, VERB_METRICS, t0, Reply::Metrics(payload), String::new);
             }
-            BinRequest::Reload { path } => self.submit_reload(conn, slot, path),
             BinRequest::Shutdown => {
-                let t0 = m.timer();
-                self.begin_shutdown(conn);
-                m.finish_request(PROTO_BINARY, VERB_SHUTDOWN, t0, || "SHUTDOWN".to_string());
+                // Acknowledge, close once the ack flushes, and stop the loop
+                // on its next iteration.
+                conn.close_after_flush = true;
+                front.shutdown.store(true, Ordering::SeqCst);
+                return self.reply(conn, VERB_SHUTDOWN, t0, Reply::Bye, String::new);
             }
+        };
+        let verb = work.verb();
+        let detail = front.metrics.slow_query_us.is_some().then(|| work.describe());
+        match self.exec.start(work) {
+            Start::Inline(reply) => {
+                self.reply(conn, verb, t0, reply, || detail.unwrap_or_default());
+            }
+            Start::Ship(job) => self.submit(conn, slot, verb, job),
         }
     }
 
-    /// Inline `QUERY` execution through the epoch-tagged cache.
-    fn exec_query(&self, s: VertexId, t: VertexId, w: Quality) -> Reply {
-        let (epoch, index) = self.shared.current();
-        if let Err(reason) = check_range(&index, s, t) {
-            return Reply::Err(reason);
-        }
-        self.shared.metrics.queries.inc();
-        Reply::Dist(self.shared.cached_distance(epoch, &index, s, t, w))
+    /// Books an inline reply and queues it on the connection.
+    fn reply(
+        &self,
+        conn: &mut Conn,
+        verb: usize,
+        t0: Option<Instant>,
+        reply: Reply,
+        detail: impl FnOnce() -> String,
+    ) {
+        self.front.metrics.finish_request(proto_idx(conn.mode), verb, t0, &reply, detail);
+        conn.push_reply(&reply);
     }
 
-    /// Inline `WITHIN` execution (uncached, like the thread-per-connection
-    /// server).
-    fn exec_within(&self, s: VertexId, t: VertexId, w: Quality, d: u32) -> Reply {
-        let (_epoch, index) = self.shared.current();
-        if let Err(reason) = check_range(&index, s, t) {
-            return Reply::Err(reason);
-        }
-        self.shared.metrics.queries.inc();
-        Reply::Bool(index.within(s, t, w, d))
-    }
-
-    /// Admission control for offloaded work: either reserves a pending-job
-    /// slot (returns `true`) or sheds the request with [`Reply::Busy`]. The
-    /// count is exact — mutated only on this thread — so the pending queue
-    /// is bounded by construction, not by sampling.
-    fn admit_job(&mut self, conn: &mut Conn, proto: usize) -> bool {
-        if self.pending_jobs >= self.shared.max_pending_jobs {
+    /// Ships a job to the worker pool — or sheds it with [`Reply::Busy`] when
+    /// `max_pending_jobs` are already pending. The count is exact (mutated
+    /// only on this thread), so the pending queue is bounded by
+    /// construction, not by sampling.
+    fn submit(&mut self, conn: &mut Conn, slot: usize, verb: usize, work: E::Job) {
+        let front = self.front;
+        let proto = proto_idx(conn.mode);
+        if self.pending_jobs >= front.max_pending_jobs {
             // Shed without executing: the error counter moves (like a parse
             // failure, the verb never ran) plus the dedicated shed counter,
             // so overload is distinguishable from malformed traffic.
-            self.shared.metrics.shed[proto].inc();
-            self.shared.metrics.errors[proto].inc();
+            front.metrics.shed[proto].inc();
+            front.metrics.errors[proto].inc();
             conn.push_reply(&Reply::Busy);
-            return false;
-        }
-        self.pending_jobs += 1;
-        self.shared.metrics.pending_jobs.set(self.pending_jobs as i64);
-        true
-    }
-
-    /// Ships a batch to the worker pool, pinning the current snapshot.
-    fn submit_batch(&mut self, conn: &mut Conn, slot: usize, queries: Vec<Query>) {
-        let shared = self.shared;
-        let proto = proto_idx(conn.mode);
-        if !self.admit_job(conn, proto) {
             return;
         }
-        let (epoch, index) = shared.current();
-        let submitted = shared.metrics.timer();
+        self.pending_jobs += 1;
+        front.metrics.pending_jobs.set(self.pending_jobs as i64);
+        let submitted = front.metrics.timer();
         conn.state = ConnState::AwaitJob;
-        let job = Job::Batch { conn: slot, gen: conn.gen, epoch, index, queries, proto, submitted };
+        let job = Job { conn: slot, gen: conn.gen, proto, verb, submitted, work };
         if self.jobs.send(job).is_err() {
             self.retire_job();
             conn.state = ConnState::Ready;
             // Rejected inline, so account it inline: the completion path
             // that would normally count the verb will never run.
-            shared.metrics.errors[proto].inc();
-            shared.metrics.finish_request(proto, VERB_BATCH, submitted, || "BATCH".to_string());
-            conn.push_reply(&Reply::Err("server is shutting down".to_string()));
-        }
-    }
-
-    /// Ships a reload to the worker pool (file read + decode off-loop).
-    fn submit_reload(&mut self, conn: &mut Conn, slot: usize, path: String) {
-        let shared = self.shared;
-        let proto = proto_idx(conn.mode);
-        if !self.admit_job(conn, proto) {
-            return;
-        }
-        let submitted = shared.metrics.timer();
-        conn.state = ConnState::AwaitJob;
-        let job = Job::Reload { conn: slot, gen: conn.gen, path, proto, submitted };
-        if self.jobs.send(job).is_err() {
-            self.retire_job();
-            conn.state = ConnState::Ready;
-            shared.metrics.errors[proto].inc();
-            shared.metrics.finish_request(proto, VERB_RELOAD, submitted, || "RELOAD".to_string());
-            conn.push_reply(&Reply::Err("server is shutting down".to_string()));
+            self.reply(conn, verb, submitted, Reply::Err("server is shutting down".into()), || {
+                String::new()
+            });
         }
     }
 
@@ -1270,20 +1336,12 @@ impl<'a> Reactor<'a> {
     /// failed after the reservation).
     fn retire_job(&mut self) {
         self.pending_jobs = self.pending_jobs.saturating_sub(1);
-        self.shared.metrics.pending_jobs.set(self.pending_jobs as i64);
-    }
-
-    /// `SHUTDOWN`: acknowledge, close this connection once the ack flushes,
-    /// and stop the loop on the next iteration.
-    fn begin_shutdown(&mut self, conn: &mut Conn) {
-        conn.push_reply(&Reply::Bye);
-        conn.close_after_flush = true;
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.front.metrics.pending_jobs.set(self.pending_jobs as i64);
     }
 
     /// Closes connections whose pending output made no progress for
-    /// [`WRITE_TIMEOUT`] — the nonblocking analogue of the old blocking
-    /// write timeout.
+    /// [`WRITE_TIMEOUT`] — the nonblocking analogue of a blocking write
+    /// timeout.
     fn reap_stalled(&mut self) {
         for slot in 0..self.conns.len() {
             let stalled = match &self.conns[slot] {
@@ -1319,8 +1377,8 @@ impl<'a> Reactor<'a> {
                 Err(_) => break,
             }
         }
-        // Final replies get the same delivery guarantee the old blocking
-        // writers gave them: switch each socket back to blocking with the
+        // Final replies get the same delivery guarantee a blocking writer
+        // would give them: switch each socket back to blocking with the
         // write-stall budget and push the remaining bytes synchronously,
         // instead of dropping whatever one nonblocking pass left behind.
         for slot in 0..self.conns.len() {
@@ -1341,35 +1399,10 @@ impl<'a> Reactor<'a> {
     /// Frees a slot and its live-connection count.
     fn release(&mut self, slot: usize) {
         if self.conns[slot].take().is_some() {
-            self.shared.metrics.live_connections.dec();
+            self.front.metrics.live_connections.dec();
             self.free.push(slot);
         }
     }
-}
-
-/// Renders one `METRICS` reply body: the Prometheus exposition, or (with
-/// `recent`) the trace ring — the slow-query log plus reload events — as one
-/// JSON document. Both end in a newline so the sized text reply stays
-/// line-friendly.
-fn metrics_payload(shared: &Shared, recent: bool) -> String {
-    if recent {
-        let mut json = shared.metrics.registry.tracer().dump_json();
-        json.push('\n');
-        json
-    } else {
-        shared.render_metrics()
-    }
-}
-
-/// Validates a query's endpoints against one pinned snapshot.
-fn check_range(index: &FlatIndex, s: VertexId, t: VertexId) -> Result<(), String> {
-    let n = index.num_vertices();
-    for v in [s, t] {
-        if v as usize >= n {
-            return Err(format!("vertex {v} out of range (index covers 0..{n})"));
-        }
-    }
-    Ok(())
 }
 
 /// Empties the wake pipe so the next worker wake is observable.

@@ -56,15 +56,25 @@
 //! `wcsd_router_probe_failures_total`; the deterministic failpoint site
 //! `router.probe` (`fail`/`refuse` actions) forces probe failures in tests.
 //!
-//! ## Connection state machine
+//! ## One front end, backend pools per worker
 //!
-//! Clients connect on the same wire protocols the backends speak: the first
-//! byte selects binary (magic `0xBF`) or text. Each client connection is
-//! served by one thread holding its *own* lazily-connected backend clients —
-//! request/reply exchanges never interleave on a backend socket, so a torn
-//! backend reply can only tear that one connection's request, never another
-//! client's. Per shard exchange the router walks the replica group in
-//! breaker order (closed first, open last) and, per replica:
+//! Clients connect to the same `poll(2)` reactor the backends run (see
+//! `crate::reactor`), on the same wire protocols: the first byte selects
+//! binary (magic `0xBF`) or text. The router is only the reactor's
+//! *scatter-gather executor*, so framing, the request-line cap, admission
+//! control with busy replies, write-stall reaping, `STATS`, and the phase
+//! histograms behind `METRICS` are the reactor's own — error wording and
+//! the shared metric families are identical by construction, and a client
+//! costs a file descriptor, not a thread.
+//!
+//! Range errors and router-cache hits are answered on the reactor thread.
+//! Any `QUERY`, `WITHIN`, or `BATCH` that needs backend I/O ships to the
+//! reactor's bounded worker pool (two workers, the `ServerConfig` default).
+//! Each worker owns one lazily-connected `BackendPool` for its lifetime,
+//! so backend connections are reused across clients, and request/reply
+//! exchanges never interleave on a backend socket. Per shard exchange the
+//! worker walks the replica group in breaker order (closed first, open
+//! last) and, per replica:
 //!
 //! 1. connects on demand (binary protocol, read timeout
 //!    [`RouterConfig::backend_timeout`]),
@@ -78,31 +88,27 @@
 //! The read timeout bounds every step, so a dead or wedged backend degrades
 //! to replica failover (or `ERR` replies when the whole group is down) — the
 //! router never hangs, and a `BATCH` is answered either completely or with
-//! one `ERR` line (no partial replies).
+//! one `ERR` line (no partial replies). While workers wait on backends, the
+//! reactor keeps serving cache hits and sheds work beyond the pending-job
+//! cap.
 //!
 //! Admin verbs stay with the backends: `RELOAD` through the router is
 //! refused (reload each backend's shard snapshot directly); `SHUTDOWN` stops
 //! the router itself, never the backends.
 
-use crate::binary::{self, BinRequest};
-use crate::cache::ResultCache;
 use crate::client::{Client, Protocol};
 use crate::failpoint;
-use crate::protocol::{self, Reply, Request};
-use crate::server::ServerSnapshot;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use crate::protocol::{self, Reply};
+use crate::reactor::{self, check_range, Endpoint, Executor, Front, Query, Start, Work};
+use crate::server::{ServerConfig, ServerSnapshot};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wcsd_core::overlay::{OverlayIndex, ScatterPlan};
 use wcsd_core::FlatIndex;
-use wcsd_graph::{Distance, Quality, VertexId};
+use wcsd_graph::Distance;
 use wcsd_obs::{Counter, Gauge, Histogram, Registry};
-
-/// How long a connection read may block before the handler re-checks the
-/// shutdown flag; bounds how long `Router::run` waits for handler threads.
-const POLL_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Circuit breaker: replica healthy (or not yet observed unhealthy).
 const BREAKER_CLOSED: u8 = 0;
@@ -156,40 +162,14 @@ impl Default for RouterConfig {
 /// correct; see [`RouterConfig::cache_capacity`].
 const ROUTER_EPOCH: u64 = 1;
 
-/// Number of independent shards in the router's result cache (same default
-/// the single-shard server uses).
-const ROUTER_CACHE_SHARDS: usize = 16;
+/// `RELOAD` through the router is refused with this reply.
+const RELOAD_REFUSED: &str = "router serves a static overlay; RELOAD each backend directly";
 
-const PROTO_LABELS: [&str; 2] = ["text", "binary"];
-const PROTO_TEXT: usize = 0;
-const PROTO_BINARY: usize = 1;
-const VERB_LABELS: [&str; 7] =
-    ["query", "within", "batch", "stats", "metrics", "reload", "shutdown"];
-const VERB_QUERY: usize = 0;
-const VERB_WITHIN: usize = 1;
-const VERB_BATCH: usize = 2;
-const VERB_STATS: usize = 3;
-const VERB_METRICS: usize = 4;
-const VERB_RELOAD: usize = 5;
-const VERB_SHUTDOWN: usize = 6;
-
-/// Metric handles, resolved once at bind time (same discipline as the
-/// single-shard server: the hot path never touches the registry lock).
+/// Router-only metric handles, resolved once at bind time. The request-level
+/// families (`wcsd_requests_total`, `wcsd_request_phase_us`, …) are the
+/// reactor's own, so loadgen's server-side deltas read a router exactly like
+/// a backend.
 struct RouterMetrics {
-    registry: Arc<Registry>,
-    enabled: bool,
-    connections: Arc<Counter>,
-    live_connections: Arc<Gauge>,
-    proto_connections: [Arc<Counter>; 2],
-    queries: Arc<Counter>,
-    batches: Arc<Counter>,
-    batch_queries: Arc<Counter>,
-    errors: [Arc<Counter>; 2],
-    /// `[proto][verb]` — same name/labels as the backends, so loadgen's
-    /// server-side deltas work unchanged against the router.
-    verbs: [[Arc<Counter>; 7]; 2],
-    /// `[proto]` execute-phase latency.
-    execute: [Arc<Histogram>; 2],
     /// Backend `BATCH` exchanges sent (including the retry of a failed one).
     fanout: Arc<Counter>,
     /// Individual per-shard queries fanned out inside those exchanges.
@@ -212,42 +192,10 @@ struct RouterMetrics {
     backend_errors: Vec<Arc<Counter>>,
     /// Replicas whose circuit breaker is currently open.
     degraded: Arc<Gauge>,
-    uptime_ms: Arc<Gauge>,
 }
 
 impl RouterMetrics {
-    fn new(registry: Arc<Registry>, enabled: bool, backends: &[Vec<String>]) -> Self {
-        let num_shards = backends.len();
-        let verbs = std::array::from_fn(|p| {
-            std::array::from_fn(|v| {
-                registry.counter_with(
-                    "wcsd_requests_total",
-                    &[("proto", PROTO_LABELS[p]), ("verb", VERB_LABELS[v])],
-                    "Requests executed, by protocol and verb",
-                )
-            })
-        });
-        let execute = std::array::from_fn(|p| {
-            registry.histogram_with(
-                "wcsd_request_phase_us",
-                &[("proto", PROTO_LABELS[p]), ("phase", "execute")],
-                "Request phase latency in microseconds",
-            )
-        });
-        let proto_connections = std::array::from_fn(|p| {
-            registry.counter_with(
-                "wcsd_proto_connections_total",
-                &[("proto", PROTO_LABELS[p])],
-                "Connections by negotiated protocol",
-            )
-        });
-        let errors = std::array::from_fn(|p| {
-            registry.counter_with(
-                "wcsd_request_errors_total",
-                &[("proto", PROTO_LABELS[p])],
-                "Requests rejected with an ERR reply",
-            )
-        });
+    fn new(registry: &Registry, backends: &[Vec<String>]) -> Self {
         let replica_requests = backends
             .iter()
             .enumerate()
@@ -265,39 +213,25 @@ impl RouterMetrics {
                     .collect()
             })
             .collect();
-        let backend_us = (0..num_shards)
+        let backend_us = (0..backends.len())
             .map(|b| {
-                let label = b.to_string();
                 registry.histogram_with(
                     "wcsd_router_backend_us",
-                    &[("backend", label.as_str())],
+                    &[("backend", b.to_string().as_str())],
                     "Backend BATCH exchange latency in microseconds",
                 )
             })
             .collect();
-        let backend_errors = (0..num_shards)
+        let backend_errors = (0..backends.len())
             .map(|b| {
-                let label = b.to_string();
                 registry.counter_with(
                     "wcsd_router_backend_errors_total",
-                    &[("backend", label.as_str())],
+                    &[("backend", b.to_string().as_str())],
                     "Failed backend exchanges",
                 )
             })
             .collect();
         Self {
-            enabled,
-            connections: registry.counter("wcsd_connections_total", "Connections accepted"),
-            live_connections: registry.gauge("wcsd_live_connections", "Connections currently open"),
-            proto_connections,
-            queries: registry
-                .counter("wcsd_queries_total", "Point requests answered (QUERY and WITHIN)"),
-            batches: registry.counter("wcsd_batches_total", "BATCH requests answered"),
-            batch_queries: registry
-                .counter("wcsd_batch_queries_total", "Individual queries answered inside batches"),
-            errors,
-            verbs,
-            execute,
             fanout: registry.counter("wcsd_router_fanout_total", "Backend BATCH exchanges sent"),
             fanout_queries: registry.counter(
                 "wcsd_router_fanout_queries_total",
@@ -319,28 +253,22 @@ impl RouterMetrics {
                 "wcsd_router_degraded_backends",
                 "Replicas whose circuit breaker is open (last exchange or probe failed)",
             ),
-            uptime_ms: registry.gauge("wcsd_uptime_ms", "Milliseconds since the router started"),
-            registry,
-        }
-    }
-
-    fn finish(&self, proto: usize, verb: usize, started: Option<Instant>) {
-        self.verbs[proto][verb].inc();
-        if let Some(t0) = started {
-            self.execute[proto].record_duration(t0.elapsed());
         }
     }
 }
 
 /// One backend replica: its address and its circuit-breaker state
-/// (`BREAKER_*`), shared by every handler thread and the prober.
+/// (`BREAKER_*`), shared by every pool worker and the prober.
 struct Replica {
     addr: String,
     breaker: AtomicU8,
 }
 
-/// Everything connection handlers share.
-struct Shared {
+/// The reactor's scatter-gather executor: the overlay, the replica groups
+/// with their breakers, and the router-side result cache (the front end's
+/// cache, keyed `(ROUTER_EPOCH, s, t, w)`).
+struct ScatterGather {
+    front: Front,
     overlay: OverlayIndex,
     /// `shards[i]` is shard `i`'s replica group; every replica serves the
     /// same shard snapshot, so answers are interchangeable bit-for-bit.
@@ -349,19 +277,79 @@ struct Shared {
     /// shard's *closed-breaker* replicas so load spreads across a healthy
     /// group instead of pinning replica 0.
     rr: Vec<AtomicU64>,
-    /// Router-side result cache in front of scatter-gather, keyed
-    /// `(ROUTER_EPOCH, s, t, w)`. [`ResultCache::disabled`] when
-    /// [`RouterConfig::cache_capacity`] is 0.
-    cache: ResultCache,
     backend_timeout: Duration,
     probe_interval: Duration,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
-    started: Instant,
-    local_addr: SocketAddr,
 }
 
-impl Shared {
+/// A router job: a request that needs backend I/O.
+enum Fetch {
+    /// A point query whose answer missed the cache; `Some(d)` for
+    /// `WITHIN … d`.
+    Point(Query, Option<Distance>),
+    /// A whole client `BATCH`.
+    Batch(Vec<Query>),
+}
+
+/// The reply to a point request whose distance is `found`.
+fn point_reply(found: Option<Distance>, within: Option<Distance>) -> Reply {
+    match within {
+        Some(d) => Reply::Bool(found.is_some_and(|x| x <= d)),
+        None => Reply::Dist(found),
+    }
+}
+
+impl Executor for ScatterGather {
+    type Job = Fetch;
+    /// Each pool worker's own backend connections.
+    type Worker = BackendPool;
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn stats(&self) -> ServerSnapshot {
+        self.front.snapshot(self.overlay.num_vertices(), self.overlay.num_edges(), 1)
+    }
+
+    fn worker(&self) -> BackendPool {
+        BackendPool::new(&self.shards)
+    }
+
+    fn start(&self, work: Work) -> Start<Fetch> {
+        let ((s, t, w), within) = match work {
+            Work::Query(q) => (q, None),
+            Work::Within(q, d) => (q, Some(d)),
+            Work::Batch(queries) => return Start::Ship(Fetch::Batch(queries)),
+            Work::Reload(_) => return Start::Inline(Reply::Err(RELOAD_REFUSED.to_string())),
+        };
+        if let Err(reason) = check_range(self.overlay.num_vertices(), s, t) {
+            return Start::Inline(Reply::Err(reason));
+        }
+        match self.front.cache.get(&(ROUTER_EPOCH, s, t, w)) {
+            Some(found) => Start::Inline(point_reply(found, within)),
+            None => Start::Ship(Fetch::Point((s, t, w), within)),
+        }
+    }
+
+    fn run(&self, pool: &mut BackendPool, job: Fetch) -> Reply {
+        let reply = match job {
+            Fetch::Point((s, t, w), within) => self.scatter(pool, &[(s, t, w)]).map(|found| {
+                self.front.cache.insert((ROUTER_EPOCH, s, t, w), found[0]);
+                point_reply(found[0], within)
+            }),
+            Fetch::Batch(queries) => self
+                .front
+                .cached_batch(self.overlay.num_vertices(), ROUTER_EPOCH, &queries, |misses| {
+                    self.scatter(pool, misses)
+                })
+                .map(Reply::Batch),
+        };
+        reply.unwrap_or_else(Reply::Err)
+    }
+}
+
+impl ScatterGather {
     /// Moves one replica's breaker, keeping the degraded gauge equal to the
     /// number of open breakers. `swap` makes each transition account exactly
     /// its own old state, so concurrent movers never double-count.
@@ -414,36 +402,43 @@ impl Shared {
         order
     }
 
-    fn snapshot(&self) -> ServerSnapshot {
-        let m = &self.metrics;
-        ServerSnapshot {
-            vertices: self.overlay.num_vertices(),
-            entries: self.overlay.num_edges(),
-            generation: 1,
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            connections: m.connections.get(),
-            live_connections: m.live_connections.get().max(0) as u64,
-            text_connections: m.proto_connections[PROTO_TEXT].get(),
-            binary_connections: m.proto_connections[PROTO_BINARY].get(),
-            reloads: 0,
-            queries: m.queries.get(),
-            batches: m.batches.get(),
-            batch_queries: m.batch_queries.get(),
-            shed: 0,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
+    /// Scatter-gathers (range-checked) queries: all per-query plans are
+    /// concatenated into one backend `BATCH` per involved shard, fetched,
+    /// sliced back in order, and merged. Any backend failure fails the whole
+    /// call — one `ERR` line for the client, never a torn reply.
+    fn scatter(
+        &self,
+        pool: &mut BackendPool,
+        queries: &[Query],
+    ) -> Result<Vec<Option<Distance>>, String> {
+        let plans: Vec<ScatterPlan> =
+            queries.iter().map(|&(s, t, w)| self.overlay.plan(s, t, w)).collect();
+        let num_shards = self.overlay.num_shards();
+        let mut per_shard: Vec<Vec<Query>> = vec![Vec::new(); num_shards];
+        for plan in &plans {
+            for &(shard, ref qs) in &plan.shards {
+                per_shard[shard as usize].extend_from_slice(qs);
+            }
         }
-    }
-
-    fn metrics_payload(&self, recent: bool) -> String {
-        if recent {
-            let mut json = self.metrics.registry.tracer().dump_json();
-            json.push('\n');
-            json
-        } else {
-            self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
-            self.metrics.registry.render()
+        let mut fetched: Vec<Vec<Option<Distance>>> = Vec::with_capacity(num_shards);
+        for (shard, qs) in per_shard.iter().enumerate() {
+            fetched.push(if qs.is_empty() { Vec::new() } else { pool.batch(self, shard, qs)? });
         }
+        let mut cursors = vec![0usize; num_shards];
+        let mut out = Vec::with_capacity(queries.len());
+        for plan in &plans {
+            let answers: Vec<Vec<Option<Distance>>> = plan
+                .shards
+                .iter()
+                .map(|&(shard, ref qs)| {
+                    let at = cursors[shard as usize];
+                    cursors[shard as usize] = at + qs.len();
+                    fetched[shard as usize][at..at + qs.len()].to_vec()
+                })
+                .collect();
+            out.push(self.overlay.merge(plan, &answers)?);
+        }
+        Ok(out)
     }
 }
 
@@ -451,16 +446,16 @@ impl Shared {
 /// overlay/backend pairing and claims the port; [`Router::run`] serves until
 /// a client sends `SHUTDOWN`.
 pub struct Router {
-    listener: TcpListener,
-    shared: Arc<Shared>,
+    endpoint: Endpoint,
+    exec: ScatterGather,
 }
 
 impl Router {
     /// Binds the router on loopback. `backends[i]` is shard `i`'s replica
     /// group — one or more addresses of reactors all serving shard `i`'s
     /// snapshot; the group count has to match the overlay's shard count and
-    /// no group may be empty. The backends are dialed lazily per client
-    /// connection, so they may come up after the router does.
+    /// no group may be empty. The backends are dialed lazily by the pool
+    /// workers, so they may come up after the router does.
     pub fn bind(
         overlay: OverlayIndex,
         backends: Vec<Vec<String>>,
@@ -482,29 +477,20 @@ impl Router {
                 format!("shard {shard} has an empty replica group"),
             ));
         }
-        let listener = crate::reactor::listen_reuseaddr(config.port)?;
-        let local_addr = listener.local_addr()?;
-        let registry = config.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-        let metrics = RouterMetrics::new(registry, config.metrics_enabled, &backends);
-        let cache = if config.cache_capacity == 0 {
-            ResultCache::disabled()
-        } else {
-            ResultCache::new(config.cache_capacity, ROUTER_CACHE_SHARDS)
-        };
-        // Same metric names the single-shard server exposes, so dashboards
-        // and loadgen deltas read the router's cache identically.
-        metrics.registry.register_counter(
-            "wcsd_cache_hits_total",
-            &[],
-            "Result-cache hits",
-            cache.hit_counter(),
+        let endpoint = Endpoint::bind(config.port)?;
+        // The server's defaults size the worker pool and the admission cap;
+        // the cache and the metrics follow the router's own settings.
+        let front = Front::new(
+            &ServerConfig {
+                cache_capacity: config.cache_capacity,
+                metrics_enabled: config.metrics_enabled,
+                registry: config.registry,
+                ..ServerConfig::default()
+            },
+            overlay.num_vertices(),
+            overlay.num_edges(),
         );
-        metrics.registry.register_counter(
-            "wcsd_cache_misses_total",
-            &[],
-            "Result-cache misses",
-            cache.miss_counter(),
-        );
+        let metrics = RouterMetrics::new(&front.metrics.registry, &backends);
         let rr = backends.iter().map(|_| AtomicU64::new(0)).collect();
         let shards: Vec<Vec<Replica>> = backends
             .into_iter()
@@ -515,75 +501,61 @@ impl Router {
                     .collect()
             })
             .collect();
-        let shared = Arc::new(Shared {
+        let exec = ScatterGather {
+            front,
             overlay,
             shards,
             rr,
-            cache,
             backend_timeout: config.backend_timeout,
             probe_interval: config.probe_interval,
             metrics,
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            local_addr,
-        });
-        Ok(Self { listener, shared })
+        };
+        Ok(Self { endpoint, exec })
     }
 
     /// The address the router is listening on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.endpoint.local_addr
     }
 
-    /// Serves until a client sends `SHUTDOWN`, then joins the prober and
-    /// every connection handler (bounded by the poll interval plus in-flight
-    /// backend timeouts) and returns the final counters.
+    /// Serves until a client sends `SHUTDOWN` — the prober on its own
+    /// thread, the reactor on the calling one — then joins both and returns
+    /// the final counters.
     pub fn run(self) -> ServerSnapshot {
-        let prober = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || run_prober(&shared))
-        };
-        let mut handles = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&self.shared);
-            handles.push(std::thread::spawn(move || handle_connection(&shared, stream)));
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        let _ = prober.join();
-        self.shared.snapshot()
+        let Router { endpoint, exec } = self;
+        std::thread::scope(|scope| {
+            scope.spawn(|| run_prober(&exec));
+            reactor::serve(&exec, endpoint);
+        });
+        exec.stats()
     }
 }
 
 /// The background prober loop: every probe interval, one `STATS` exchange
 /// per replica on a fresh connection, driving the breakers (see module
 /// docs). Exits promptly on shutdown — the interval sleep is sliced.
-fn run_prober(shared: &Shared) {
-    if shared.probe_interval.is_zero() {
+fn run_prober(sg: &ScatterGather) {
+    if sg.probe_interval.is_zero() {
         return;
     }
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        for (shard, group) in shared.shards.iter().enumerate() {
+    let shutdown = || sg.front.shutdown.load(Ordering::SeqCst);
+    while !shutdown() {
+        for (shard, group) in sg.shards.iter().enumerate() {
             for (replica, r) in group.iter().enumerate() {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown() {
                     return;
                 }
-                shared.metrics.probes.inc();
-                let ok = probe_replica(shared, &r.addr);
+                sg.metrics.probes.inc();
+                let ok = probe_replica(sg, &r.addr);
                 if !ok {
-                    shared.metrics.probe_failures.inc();
+                    sg.metrics.probe_failures.inc();
                 }
-                shared.probe_outcome(shard, replica, ok);
+                sg.probe_outcome(shard, replica, ok);
             }
         }
-        let deadline = Instant::now() + shared.probe_interval;
+        let deadline = Instant::now() + sg.probe_interval;
         loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shutdown() {
                 return;
             }
             let now = Instant::now();
@@ -597,26 +569,25 @@ fn run_prober(shared: &Shared) {
 
 /// One health probe: bounded connect, then one `STATS` exchange. The
 /// `router.probe` failpoint (fail/refuse) forces a failure for tests.
-fn probe_replica(shared: &Shared, addr: &str) -> bool {
+fn probe_replica(sg: &ScatterGather, addr: &str) -> bool {
     if matches!(
         failpoint::fire("router.probe"),
         Some(failpoint::Action::Fail | failpoint::Action::Refuse)
     ) {
         return false;
     }
-    let Ok(mut client) =
-        Client::connect_timeout_with(addr, shared.backend_timeout, Protocol::Binary)
+    let Ok(mut client) = Client::connect_timeout_with(addr, sg.backend_timeout, Protocol::Binary)
     else {
         return false;
     };
-    if client.set_read_timeout(Some(shared.backend_timeout)).is_err() {
+    if client.set_read_timeout(Some(sg.backend_timeout)).is_err() {
         return false;
     }
     client.stats().is_ok()
 }
 
-/// One lazily-dialed backend connection pool, private to one client
-/// connection (exchanges on a backend socket never interleave). Indexed
+/// One lazily-dialed set of backend connections, private to one pool worker
+/// (exchanges on a backend socket never interleave). Indexed
 /// `[shard][replica]`.
 struct BackendPool {
     conns: Vec<Vec<Option<Client>>>,
@@ -629,16 +600,16 @@ impl BackendPool {
 
     fn connect(
         &mut self,
-        shared: &Shared,
+        sg: &ScatterGather,
         shard: usize,
         replica: usize,
     ) -> Result<&mut Client, String> {
-        let addr = shared.shards[shard][replica].addr.as_str();
+        let addr = sg.shards[shard][replica].addr.as_str();
         if self.conns[shard][replica].is_none() {
             let mut client = Client::connect_with(addr, Protocol::Binary)
                 .map_err(|e| format!("connect to {addr}: {e}"))?;
             client
-                .set_read_timeout(Some(shared.backend_timeout))
+                .set_read_timeout(Some(sg.backend_timeout))
                 .map_err(|e| format!("configure {addr}: {e}"))?;
             self.conns[shard][replica] = Some(client);
         }
@@ -651,24 +622,24 @@ impl BackendPool {
     /// Only when every replica has failed does the client see an error.
     fn batch(
         &mut self,
-        shared: &Shared,
+        sg: &ScatterGather,
         shard: usize,
-        queries: &[(VertexId, VertexId, Quality)],
+        queries: &[Query],
     ) -> Result<Vec<Option<Distance>>, String> {
-        let order = shared.replica_order(shard);
+        let order = sg.replica_order(shard);
         let mut last_err = String::new();
         for (nth, &replica) in order.iter().enumerate() {
-            match self.batch_replica(shared, shard, replica, queries) {
+            match self.batch_replica(sg, shard, replica, queries) {
                 Ok(answers) => {
                     if nth > 0 {
-                        shared.metrics.failovers.inc();
+                        sg.metrics.failovers.inc();
                     }
                     return Ok(answers);
                 }
                 Err(e) => last_err = e,
             }
         }
-        let addrs: Vec<&str> = shared.shards[shard].iter().map(|r| r.addr.as_str()).collect();
+        let addrs: Vec<&str> = sg.shards[shard].iter().map(|r| r.addr.as_str()).collect();
         Err(format!("backend {shard} ({}) unavailable: {last_err}", addrs.join(", ")))
     }
 
@@ -677,30 +648,30 @@ impl BackendPool {
     /// breaker; a double failure opens it.
     fn batch_replica(
         &mut self,
-        shared: &Shared,
+        sg: &ScatterGather,
         shard: usize,
         replica: usize,
-        queries: &[(VertexId, VertexId, Quality)],
+        queries: &[Query],
     ) -> Result<Vec<Option<Distance>>, String> {
         let mut answers = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(protocol::MAX_BATCH) {
-            match self.try_batch(shared, shard, replica, chunk) {
+            match self.try_batch(sg, shard, replica, chunk) {
                 Ok(chunk_answers) => answers.extend(chunk_answers),
                 Err(first) => {
-                    shared.metrics.backend_errors[shard].inc();
-                    shared.metrics.retries.inc();
-                    match self.try_batch(shared, shard, replica, chunk) {
+                    sg.metrics.backend_errors[shard].inc();
+                    sg.metrics.retries.inc();
+                    match self.try_batch(sg, shard, replica, chunk) {
                         Ok(chunk_answers) => answers.extend(chunk_answers),
                         Err(second) => {
-                            shared.metrics.backend_errors[shard].inc();
-                            shared.set_breaker(shard, replica, BREAKER_OPEN);
+                            sg.metrics.backend_errors[shard].inc();
+                            sg.set_breaker(shard, replica, BREAKER_OPEN);
                             return Err(format!("{second} (first attempt: {first})"));
                         }
                     }
                 }
             }
         }
-        shared.set_breaker(shard, replica, BREAKER_CLOSED);
+        sg.set_breaker(shard, replica, BREAKER_CLOSED);
         Ok(answers)
     }
 
@@ -708,20 +679,20 @@ impl BackendPool {
     /// (possibly mid-reply) connection so the retry starts clean.
     fn try_batch(
         &mut self,
-        shared: &Shared,
+        sg: &ScatterGather,
         shard: usize,
         replica: usize,
-        chunk: &[(VertexId, VertexId, Quality)],
+        chunk: &[Query],
     ) -> Result<Vec<Option<Distance>>, String> {
         let t0 = Instant::now();
-        shared.metrics.fanout.inc();
-        shared.metrics.fanout_queries.add(chunk.len() as u64);
-        shared.metrics.replica_requests[shard][replica].inc();
-        let result = self.connect(shared, shard, replica).and_then(|client| client.batch(chunk));
+        sg.metrics.fanout.inc();
+        sg.metrics.fanout_queries.add(chunk.len() as u64);
+        sg.metrics.replica_requests[shard][replica].inc();
+        let result = self.connect(sg, shard, replica).and_then(|client| client.batch(chunk));
         match result {
             Ok(answers) => {
-                if shared.metrics.enabled {
-                    shared.metrics.backend_us[shard].record_duration(t0.elapsed());
+                if sg.front.metrics.enabled {
+                    sg.metrics.backend_us[shard].record_duration(t0.elapsed());
                 }
                 Ok(answers)
             }
@@ -729,417 +700,6 @@ impl BackendPool {
                 self.conns[shard][replica] = None;
                 Err(e)
             }
-        }
-    }
-}
-
-/// Validates a query's endpoints against the overlay's vertex range — same
-/// wording as the backend reactors, so the router and a direct backend reject
-/// identically.
-fn check_range(overlay: &OverlayIndex, s: VertexId, t: VertexId) -> Result<(), String> {
-    let n = overlay.num_vertices();
-    for v in [s, t] {
-        if v as usize >= n {
-            return Err(format!("vertex {v} out of range (index covers 0..{n})"));
-        }
-    }
-    Ok(())
-}
-
-/// Scatter: fetch every per-shard batch of `plan` through `pool`.
-fn scatter(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    plan: &ScatterPlan,
-) -> Result<Vec<Vec<Option<Distance>>>, String> {
-    plan.shards
-        .iter()
-        .map(
-            |&(shard, ref qs)| {
-                if qs.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    pool.batch(shared, shard as usize, qs)
-                }
-            },
-        )
-        .collect()
-}
-
-fn answer_distance(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    s: VertexId,
-    t: VertexId,
-    w: Quality,
-) -> Result<Option<Distance>, String> {
-    check_range(&shared.overlay, s, t)?;
-    let key = (ROUTER_EPOCH, s, t, w);
-    if let Some(answer) = shared.cache.get(&key) {
-        return Ok(answer);
-    }
-    let plan = shared.overlay.plan(s, t, w);
-    let answers = scatter(shared, pool, &plan)?;
-    let answer = shared.overlay.merge(&plan, &answers)?;
-    shared.cache.insert(key, answer);
-    Ok(answer)
-}
-
-/// Answers a whole client `BATCH`: cache hits are served from the router's
-/// memory, the misses go through one backend `BATCH` per involved shard
-/// ([`scatter_batch`]), and computed answers are inserted back. Any backend
-/// failure fails the whole batch — one `ERR` line, never a torn reply.
-fn answer_batch(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    queries: &[(VertexId, VertexId, Quality)],
-) -> Result<Vec<Option<Distance>>, String> {
-    for (i, &(s, t, _)) in queries.iter().enumerate() {
-        check_range(&shared.overlay, s, t)
-            .map_err(|reason| format!("batch line {}: {reason}", i + 1))?;
-    }
-    let mut answers: Vec<Option<Option<Distance>>> = Vec::with_capacity(queries.len());
-    let mut misses: Vec<(VertexId, VertexId, Quality)> = Vec::new();
-    let mut miss_slots: Vec<usize> = Vec::new();
-    for (i, &(s, t, w)) in queries.iter().enumerate() {
-        match shared.cache.get(&(ROUTER_EPOCH, s, t, w)) {
-            Some(answer) => answers.push(Some(answer)),
-            None => {
-                answers.push(None);
-                misses.push((s, t, w));
-                miss_slots.push(i);
-            }
-        }
-    }
-    if !misses.is_empty() {
-        let computed = scatter_batch(shared, pool, &misses)?;
-        for (slot, (&(s, t, w), answer)) in miss_slots.into_iter().zip(misses.iter().zip(computed))
-        {
-            shared.cache.insert((ROUTER_EPOCH, s, t, w), answer);
-            answers[slot] = Some(answer);
-        }
-    }
-    Ok(answers.into_iter().map(|a| a.expect("every slot answered")).collect())
-}
-
-/// Scatter-gathers a batch of (range-checked) queries: all per-query plans
-/// are concatenated per shard, fetched, and sliced back in order.
-fn scatter_batch(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    queries: &[(VertexId, VertexId, Quality)],
-) -> Result<Vec<Option<Distance>>, String> {
-    let plans: Vec<ScatterPlan> =
-        queries.iter().map(|&(s, t, w)| shared.overlay.plan(s, t, w)).collect();
-    let num_shards = shared.overlay.num_shards();
-    let mut per_shard: Vec<Vec<(VertexId, VertexId, Quality)>> = vec![Vec::new(); num_shards];
-    for plan in &plans {
-        for &(shard, ref qs) in &plan.shards {
-            per_shard[shard as usize].extend_from_slice(qs);
-        }
-    }
-    let mut fetched: Vec<Vec<Option<Distance>>> = Vec::with_capacity(num_shards);
-    for (shard, qs) in per_shard.iter().enumerate() {
-        fetched.push(if qs.is_empty() { Vec::new() } else { pool.batch(shared, shard, qs)? });
-    }
-    let mut cursors = vec![0usize; num_shards];
-    let mut out = Vec::with_capacity(queries.len());
-    for plan in &plans {
-        let answers: Vec<Vec<Option<Distance>>> = plan
-            .shards
-            .iter()
-            .map(|&(shard, ref qs)| {
-                let at = cursors[shard as usize];
-                cursors[shard as usize] = at + qs.len();
-                fetched[shard as usize][at..at + qs.len()].to_vec()
-            })
-            .collect();
-        out.push(shared.overlay.merge(plan, &answers)?);
-    }
-    Ok(out)
-}
-
-/// Outcome of handling one request.
-enum Action {
-    Reply(Reply),
-    /// Reply, then close the connection (`SHUTDOWN`).
-    Bye(Reply),
-}
-
-/// Executes one protocol-neutral request against the backends. Both wire
-/// loops funnel through here, so text and binary clients get identical
-/// behavior.
-fn execute(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    proto: usize,
-    req: Request,
-    batch_body: Vec<(VertexId, VertexId, Quality)>,
-) -> Action {
-    let m = &shared.metrics;
-    let timer = m.enabled.then(Instant::now);
-    match req {
-        Request::Query { s, t, w } => {
-            let reply = match answer_distance(shared, pool, s, t, w) {
-                Ok(d) => {
-                    m.queries.inc();
-                    Reply::Dist(d)
-                }
-                Err(reason) => Reply::Err(reason),
-            };
-            m.finish(proto, VERB_QUERY, timer);
-            Action::Reply(reply)
-        }
-        Request::Within { s, t, w, d } => {
-            let reply = match answer_distance(shared, pool, s, t, w) {
-                Ok(found) => {
-                    m.queries.inc();
-                    Reply::Bool(found.is_some_and(|x| x <= d))
-                }
-                Err(reason) => Reply::Err(reason),
-            };
-            m.finish(proto, VERB_WITHIN, timer);
-            Action::Reply(reply)
-        }
-        Request::Batch { n } => {
-            debug_assert_eq!(n, batch_body.len());
-            let reply = match answer_batch(shared, pool, &batch_body) {
-                Ok(answers) => {
-                    m.batches.inc();
-                    m.batch_queries.add(answers.len() as u64);
-                    Reply::Batch(answers)
-                }
-                Err(reason) => Reply::Err(reason),
-            };
-            m.finish(proto, VERB_BATCH, timer);
-            Action::Reply(reply)
-        }
-        Request::Stats => {
-            let reply = Reply::Stats(shared.snapshot().encode());
-            m.finish(proto, VERB_STATS, timer);
-            Action::Reply(reply)
-        }
-        Request::Metrics { recent } => {
-            // Render before self-counting, mirroring the reactor: the scrape
-            // reconciles with the counters as of just before this request.
-            let payload = shared.metrics_payload(recent);
-            m.finish(proto, VERB_METRICS, timer);
-            Action::Reply(Reply::Metrics(payload))
-        }
-        Request::Reload { .. } => {
-            m.finish(proto, VERB_RELOAD, timer);
-            Action::Reply(Reply::Err(
-                "router serves a static overlay; RELOAD each backend directly".to_string(),
-            ))
-        }
-        Request::Shutdown => {
-            m.finish(proto, VERB_SHUTDOWN, timer);
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so `run` observes the flag.
-            let _ = TcpStream::connect(shared.local_addr);
-            Action::Bye(Reply::Bye)
-        }
-    }
-}
-
-/// What a polled read produced.
-enum ReadOutcome {
-    Data,
-    Closed,
-    Shutdown,
-}
-
-/// Reads exactly `buf.len()` bytes, polling the shutdown flag on every read
-/// timeout. A peer close mid-item is `Closed` either way — the connection is
-/// done.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-    ReadOutcome::Data
-}
-
-/// Reads one newline-terminated line (the partial line survives read
-/// timeouts: `read_until` appends what it consumed before erroring).
-fn read_line(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut Vec<u8>,
-    shared: &Shared,
-) -> ReadOutcome {
-    loop {
-        match reader.read_until(b'\n', line) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(_) if line.ends_with(b"\n") => return ReadOutcome::Data,
-            Ok(_) => return ReadOutcome::Closed, // EOF mid-line
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) || line.len() > crate::server::MAX_LINE {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-}
-
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    shared.metrics.connections.inc();
-    shared.metrics.live_connections.inc();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(crate::server::WRITE_TIMEOUT));
-
-    let mut first = [0u8; 1];
-    if matches!(read_full(&mut stream, &mut first, shared), ReadOutcome::Data) {
-        if first[0] == binary::MAGIC {
-            let mut version = [0u8; 1];
-            if matches!(read_full(&mut stream, &mut version, shared), ReadOutcome::Data)
-                && version[0] == binary::VERSION
-            {
-                shared.metrics.proto_connections[PROTO_BINARY].inc();
-                serve_binary(shared, stream);
-            }
-        } else {
-            shared.metrics.proto_connections[PROTO_TEXT].inc();
-            serve_text(shared, stream, first[0]);
-        }
-    }
-    shared.metrics.live_connections.dec();
-}
-
-fn serve_text(shared: &Shared, stream: TcpStream, first_byte: u8) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    let mut pool = BackendPool::new(&shared.shards);
-    let mut line: Vec<u8> = vec![first_byte];
-    // The first byte already consumed for protocol detection may itself be
-    // the newline of an empty first line.
-    loop {
-        if !line.ends_with(b"\n") {
-            match read_line(&mut reader, &mut line, shared) {
-                ReadOutcome::Data => {}
-                ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-            }
-        }
-        let text = String::from_utf8_lossy(&line).into_owned();
-        let action = match protocol::parse_request(text.trim_end_matches(['\r', '\n'])) {
-            Ok(Request::Batch { n }) => {
-                let mut body = Vec::with_capacity(n);
-                let mut invalid: Option<String> = None;
-                let mut body_line: Vec<u8> = Vec::new();
-                for seen in 1..=n {
-                    body_line.clear();
-                    match read_line(&mut reader, &mut body_line, shared) {
-                        ReadOutcome::Data => {}
-                        ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-                    }
-                    let text = String::from_utf8_lossy(&body_line);
-                    match protocol::parse_batch_line(text.trim_end_matches(['\r', '\n'])) {
-                        Ok(q) => body.push(q),
-                        Err(reason) => {
-                            invalid.get_or_insert(format!("batch line {seen}: {reason}"));
-                        }
-                    }
-                }
-                match invalid {
-                    None => execute(shared, &mut pool, PROTO_TEXT, Request::Batch { n }, body),
-                    Some(reason) => Action::Reply(Reply::Err(reason)),
-                }
-            }
-            Ok(req) => execute(shared, &mut pool, PROTO_TEXT, req, Vec::new()),
-            Err(reason) => Action::Reply(Reply::Err(reason)),
-        };
-        let (reply, done) = match action {
-            Action::Reply(reply) => (reply, false),
-            Action::Bye(reply) => (reply, true),
-        };
-        if matches!(reply, Reply::Err(_)) {
-            shared.metrics.errors[PROTO_TEXT].inc();
-        }
-        let mut out = Vec::new();
-        reply.encode_text(&mut out);
-        if writer.write_all(&out).and_then(|()| writer.flush()).is_err() || done {
-            return;
-        }
-        line.clear();
-    }
-}
-
-fn serve_binary(shared: &Shared, mut stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = BufWriter::new(write_half);
-    let mut pool = BackendPool::new(&shared.shards);
-    loop {
-        let mut len = [0u8; 4];
-        match read_full(&mut stream, &mut len, shared) {
-            ReadOutcome::Data => {}
-            ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-        }
-        let len = u32::from_le_bytes(len) as usize;
-        if len > binary::MAX_FRAME {
-            let mut out = Vec::new();
-            binary::encode_reply(
-                &Reply::Err(format!("frame of {len} bytes exceeds maximum")),
-                &mut out,
-            );
-            let _ = writer.write_all(&out).and_then(|()| writer.flush());
-            return;
-        }
-        let mut body = vec![0u8; len];
-        match read_full(&mut stream, &mut body, shared) {
-            ReadOutcome::Data => {}
-            ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-        }
-        let action = match binary::decode_request(&body) {
-            Ok(bin) => {
-                let (req, batch_body) = match bin {
-                    BinRequest::Query { s, t, w } => (Request::Query { s, t, w }, Vec::new()),
-                    BinRequest::Batch { queries } => (Request::Batch { n: queries.len() }, queries),
-                    BinRequest::Within { s, t, w, d } => {
-                        (Request::Within { s, t, w, d }, Vec::new())
-                    }
-                    BinRequest::Stats => (Request::Stats, Vec::new()),
-                    BinRequest::Metrics { recent } => (Request::Metrics { recent }, Vec::new()),
-                    BinRequest::Reload { path } => (Request::Reload { path }, Vec::new()),
-                    BinRequest::Shutdown => (Request::Shutdown, Vec::new()),
-                };
-                execute(shared, &mut pool, PROTO_BINARY, req, batch_body)
-            }
-            Err(reason) => Action::Reply(Reply::Err(reason)),
-        };
-        let (reply, done) = match action {
-            Action::Reply(reply) => (reply, false),
-            Action::Bye(reply) => (reply, true),
-        };
-        if matches!(reply, Reply::Err(_)) {
-            shared.metrics.errors[PROTO_BINARY].inc();
-        }
-        let mut out = Vec::new();
-        binary::encode_reply(&reply, &mut out);
-        if writer.write_all(&out).and_then(|()| writer.flush()).is_err() || done {
-            return;
         }
     }
 }

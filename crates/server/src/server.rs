@@ -8,14 +8,15 @@
 //! `DynamicWcIndex::freeze`), so every query runs over the contiguous
 //! struct-of-arrays arena instead of per-vertex heap allocations.
 //!
-//! Connection handling is a single-threaded event-loop reactor (the
-//! private `reactor` module): nonblocking sockets multiplexed through a small
-//! `poll(2)` wrapper, per-connection read/parse/execute/write state
-//! machines, and a bounded worker pool for `BATCH` fan-out (through
-//! [`wcsd_core::parallel::par_distances`]) and `RELOAD` snapshot decoding.
-//! Concurrent connections therefore scale with file descriptors, not
-//! threads, and an idle server sleeps in `poll` instead of busy-polling
-//! `accept`.
+//! Connection handling is the event-loop reactor (the private `reactor`
+//! module) that also fronts the router: nonblocking sockets multiplexed
+//! through a small `poll(2)` wrapper, per-connection
+//! read/parse/execute/write state machines, and a bounded worker pool. This
+//! module supplies the reactor's *local* executor: point lookups run inline,
+//! `BATCH` fan-out (through [`wcsd_core::parallel::par_distances`]) and
+//! `RELOAD` snapshot decoding run on the pool. Concurrent connections
+//! therefore scale with file descriptors, not threads, and an idle server
+//! sleeps in `poll` instead of busy-polling `accept`.
 //!
 //! The served index lives in a swappable slot guarded by one mutex: a
 //! `RELOAD <path>` request decodes a new snapshot off-loop, installs it with
@@ -28,31 +29,14 @@
 //! observes it on its next iteration, best-effort flushes pending replies,
 //! and `run` returns once the worker pool drains.
 
-use crate::cache::ResultCache;
-use crate::metrics::ServerMetrics;
-use crate::protocol;
-use crate::reactor::{self, Reactor};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::protocol::{self, ReloadInfo, Reply};
+use crate::reactor::{self, check_range, dur_us, Endpoint, Executor, Front, Query, Start, Work};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-use wcsd_core::{FlatIndex, QueryImpl, WcIndex};
+use wcsd_core::{parallel, FlatIndex, QueryImpl, WcIndex};
 use wcsd_graph::{Quality, VertexId};
 use wcsd_obs::Registry;
-
-/// Upper bound on how long one connection's pending output may sit without
-/// the socket accepting a single byte. A client that stops reading its
-/// replies (so the kernel send buffer fills) gets its connection dropped
-/// after this long instead of pinning server memory forever.
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Longest text request line the server accepts. Every legal request fits in
-/// a few dozen bytes; this bounds the memory a client streaming
-/// newline-free bytes can pin (the line-size analogue of
-/// [`protocol::MAX_BATCH`]).
-pub(crate) const MAX_LINE: usize = 64 * 1024;
 
 /// Server tuning knobs. `Default` picks a kernel-assigned port, one
 /// intra-batch thread per core, two batch workers, and a 64Ki-entry cache
@@ -244,89 +228,44 @@ impl ServerSnapshot {
 /// The swappable serving slot: the epoch tags cache keys and is reported as
 /// the `STATS` generation; both change together under one lock, so a worker
 /// can never pair a snapshot with another generation's cache entries.
-pub(crate) struct SnapshotSlot {
-    pub(crate) epoch: u64,
-    pub(crate) index: Arc<FlatIndex>,
+struct SnapshotSlot {
+    epoch: u64,
+    index: Arc<FlatIndex>,
 }
 
-/// Shared state the reactor and the worker pool both borrow.
-pub(crate) struct Shared {
-    pub(crate) slot: Mutex<SnapshotSlot>,
-    pub(crate) cache: ResultCache,
-    pub(crate) batch_threads: usize,
-    pub(crate) batch_workers: usize,
-    pub(crate) max_pending_jobs: usize,
+/// The reactor's local executor: one in-memory snapshot behind a swappable
+/// slot.
+struct Local {
+    front: Front,
+    slot: Mutex<SnapshotSlot>,
+    /// Threads inside one `BATCH` evaluation.
+    batch_threads: usize,
     /// Query implementation for inline and batch answers (bit-identical
     /// across variants; see [`ServerConfig::query_impl`]).
-    pub(crate) query_impl: QueryImpl,
-    pub(crate) started: Instant,
-    pub(crate) shutdown: AtomicBool,
-    /// All server counters/gauges/histograms. `STATS` reads the same atomics
-    /// `METRICS` renders, so the two views cannot disagree on totals.
-    pub(crate) metrics: ServerMetrics,
+    query_impl: QueryImpl,
 }
 
-impl Shared {
+/// A job the local executor ships to the pool.
+enum LocalJob {
+    /// A `BATCH` over the snapshot captured at submission. Pinning
+    /// `(epoch, index)` here is what makes every batch reply consistent with
+    /// exactly one snapshot across a concurrent `RELOAD`.
+    Batch { epoch: u64, index: Arc<FlatIndex>, queries: Vec<Query> },
+    /// A `RELOAD`: read, decode, and validate a snapshot off the reactor
+    /// thread, then install it.
+    Reload(String),
+}
+
+impl Local {
     /// The snapshot being served right now, with its cache epoch.
-    pub(crate) fn current(&self) -> (u64, Arc<FlatIndex>) {
+    fn current(&self) -> (u64, Arc<FlatIndex>) {
         let slot = self.slot.lock().expect("snapshot slot poisoned");
         (slot.epoch, Arc::clone(&slot.index))
     }
 
-    /// Installs a new snapshot, bumping the generation. In-flight holders of
-    /// the previous `Arc` are unaffected. Returns the new generation.
-    pub(crate) fn install(&self, index: Arc<FlatIndex>) -> u64 {
-        let stats = index.stats();
-        let mut slot = self.slot.lock().expect("snapshot slot poisoned");
-        slot.epoch += 1;
-        slot.index = index;
-        let epoch = slot.epoch;
-        drop(slot);
-        self.metrics.reloads.inc();
-        self.metrics.generation.set(epoch as i64);
-        self.metrics.index_vertices.set(stats.num_vertices as i64);
-        self.metrics.index_entries.set(stats.total_entries as i64);
-        epoch
-    }
-
-    /// Point-in-time counter snapshot. One read per atomic; the derived
-    /// hit rate is computed from this snapshot's own hit/miss values, never
-    /// from a second load.
-    pub(crate) fn snapshot(&self) -> ServerSnapshot {
-        let (epoch, index) = self.current();
-        let stats = index.stats();
-        let m = &self.metrics;
-        ServerSnapshot {
-            vertices: stats.num_vertices,
-            entries: stats.total_entries,
-            generation: epoch,
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            connections: m.connections.get(),
-            live_connections: m.live_connections.get().max(0) as u64,
-            text_connections: m.proto_connections[crate::metrics::PROTO_TEXT].get(),
-            binary_connections: m.proto_connections[crate::metrics::PROTO_BINARY].get(),
-            reloads: m.reloads.get(),
-            queries: m.queries.get(),
-            batches: m.batches.get(),
-            batch_queries: m.batch_queries.get(),
-            shed: m.shed[crate::metrics::PROTO_TEXT].get()
-                + m.shed[crate::metrics::PROTO_BINARY].get(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-        }
-    }
-
-    /// Renders the full Prometheus exposition, refreshing the point-in-time
-    /// gauges first. Called on the reactor thread only, which is what makes
-    /// the counter/histogram reconciliation exact (see [`crate::metrics`]).
-    pub(crate) fn render_metrics(&self) -> String {
-        self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
-        self.metrics.registry.render()
-    }
-
     /// Answers one query through the epoch-tagged cache against a pinned
     /// snapshot.
-    pub(crate) fn cached_distance(
+    fn cached_distance(
         &self,
         epoch: u64,
         index: &FlatIndex,
@@ -335,12 +274,112 @@ impl Shared {
         w: Quality,
     ) -> Option<u32> {
         let key = (epoch, s, t, w);
-        if let Some(answer) = self.cache.get(&key) {
+        if let Some(answer) = self.front.cache.get(&key) {
             return answer;
         }
         let answer = index.distance_with(s, t, w, self.query_impl);
-        self.cache.insert(key, answer);
+        self.front.cache.insert(key, answer);
         answer
+    }
+
+    /// `RELOAD` on a pool worker: decode the snapshot, then swap it in with
+    /// a generation bump. The slot mutex serializes concurrent installs, and
+    /// in-flight holders of the previous `Arc` are unaffected.
+    fn reload(&self, path: &str) -> Reply {
+        let m = &self.front.metrics;
+        let t0 = m.timer();
+        let flat = match load_flat_snapshot(path) {
+            Ok(flat) => Arc::new(flat),
+            Err(reason) => return Reply::Err(reason),
+        };
+        let decoded = m.timer();
+        let stats = flat.stats();
+        let (generation, old) = {
+            let mut slot = self.slot.lock().expect("snapshot slot poisoned");
+            slot.epoch += 1;
+            m.generation.set(slot.epoch as i64);
+            (slot.epoch, std::mem::replace(&mut slot.index, flat))
+        };
+        // The old snapshot is freed outside the lock, so inline queries
+        // never wait on its deallocation.
+        drop(old);
+        m.reloads.inc();
+        m.index_vertices.set(stats.num_vertices as i64);
+        m.index_entries.set(stats.total_entries as i64);
+        if let (Some(t0), Some(decoded), true) = (t0, decoded, m.enabled) {
+            let (decode_us, swap_us) = (dur_us(decoded - t0), dur_us(decoded.elapsed()));
+            m.reload_decode_us.record(decode_us);
+            m.reload_swap_us.record(swap_us);
+            m.registry.tracer().record(
+                "reload",
+                &format!(
+                    "generation={generation} vertices={} entries={}",
+                    stats.num_vertices, stats.total_entries
+                ),
+                decode_us + swap_us,
+            );
+        }
+        Reply::Reloaded(ReloadInfo {
+            generation,
+            vertices: stats.num_vertices as u64,
+            entries: stats.total_entries as u64,
+        })
+    }
+}
+
+impl Executor for Local {
+    type Job = LocalJob;
+    /// Workers share everything through the slot and the cache.
+    type Worker = ();
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn stats(&self) -> ServerSnapshot {
+        let (epoch, index) = self.current();
+        let stats = index.stats();
+        self.front.snapshot(stats.num_vertices, stats.total_entries, epoch)
+    }
+
+    fn worker(&self) {}
+
+    fn start(&self, work: Work) -> Start<LocalJob> {
+        let ((s, t, w), within) = match work {
+            Work::Query(q) => (q, None),
+            Work::Within(q, d) => (q, Some(d)),
+            Work::Batch(queries) => {
+                let (epoch, index) = self.current();
+                return Start::Ship(LocalJob::Batch { epoch, index, queries });
+            }
+            Work::Reload(path) => return Start::Ship(LocalJob::Reload(path)),
+        };
+        let (epoch, index) = self.current();
+        Start::Inline(match (check_range(index.num_vertices(), s, t), within) {
+            (Err(reason), _) => Reply::Err(reason),
+            (Ok(()), None) => Reply::Dist(self.cached_distance(epoch, &index, s, t, w)),
+            // `WITHIN` is answered uncached, straight from the snapshot.
+            (Ok(()), Some(d)) => Reply::Bool(index.within(s, t, w, d)),
+        })
+    }
+
+    fn run(&self, _: &mut (), job: LocalJob) -> Reply {
+        match job {
+            LocalJob::Batch { epoch, index, queries } => {
+                let compute = |misses: &[Query]| {
+                    Ok(parallel::par_distances_with(
+                        &*index,
+                        misses,
+                        self.batch_threads,
+                        self.query_impl,
+                    ))
+                };
+                let answers =
+                    self.front.cached_batch(index.num_vertices(), epoch, &queries, compute);
+                answers.map_or_else(Reply::Err, Reply::Batch)
+            }
+            LocalJob::Reload(path) => self.reload(&path),
+        }
     }
 }
 
@@ -458,11 +497,8 @@ pub fn write_snapshot_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(),
 /// A bound but not yet running query server. Created with [`Server::bind`],
 /// driven to completion with [`Server::run`].
 pub struct Server {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    wake_rx: TcpStream,
-    wake_tx: reactor::WakeSender,
-    shared: Shared,
+    endpoint: Endpoint,
+    local: Local,
 }
 
 impl Server {
@@ -478,85 +514,28 @@ impl Server {
     /// can re-acquire the port of a killed predecessor) and serves the given
     /// frozen index.
     pub fn bind_flat(index: Arc<FlatIndex>, config: ServerConfig) -> std::io::Result<Self> {
-        let listener = reactor::listen_reuseaddr(config.port)?;
-        let local_addr = listener.local_addr()?;
-        let (wake_rx, wake_tx) = reactor::wake_pair()?;
-        let registry = config.registry.clone().unwrap_or_else(|| Arc::new(Registry::new()));
-        let batch_workers = config.batch_workers.max(1);
-        let max_pending_jobs = config.max_pending_jobs.max(1);
-        let cache = ResultCache::new(config.cache_capacity, config.cache_shards);
-        let metrics = ServerMetrics::new(
-            registry,
-            config.metrics_enabled,
-            config.slow_query_ms,
-            batch_workers,
-            config.cache_capacity,
-            max_pending_jobs,
-        );
-        // The registry renders the cache's own live counters — one set of
-        // atomics behind both STATS and METRICS.
-        metrics.registry.register_counter(
-            "wcsd_cache_hits_total",
-            &[],
-            "Result-cache hits",
-            cache.hit_counter(),
-        );
-        metrics.registry.register_counter(
-            "wcsd_cache_misses_total",
-            &[],
-            "Result-cache misses",
-            cache.miss_counter(),
-        );
+        let endpoint = Endpoint::bind(config.port)?;
         let stats = index.stats();
-        metrics.generation.set(1);
-        metrics.index_vertices.set(stats.num_vertices as i64);
-        metrics.index_entries.set(stats.total_entries as i64);
-        Ok(Self {
-            listener,
-            local_addr,
-            wake_rx,
-            wake_tx,
-            shared: Shared {
-                slot: Mutex::new(SnapshotSlot { epoch: 1, index }),
-                cache,
-                batch_threads: config.batch_threads.max(1),
-                batch_workers,
-                max_pending_jobs,
-                query_impl: config.query_impl,
-                started: Instant::now(),
-                shutdown: AtomicBool::new(false),
-                metrics,
-            },
-        })
+        let local = Local {
+            front: Front::new(&config, stats.num_vertices, stats.total_entries),
+            slot: Mutex::new(SnapshotSlot { epoch: 1, index }),
+            batch_threads: config.batch_threads.max(1),
+            query_impl: config.query_impl,
+        };
+        Ok(Self { endpoint, local })
     }
 
     /// The address the server listens on (useful with `port = 0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.endpoint.local_addr
     }
 
     /// Serves connections until a client sends `SHUTDOWN`: spawns the
     /// bounded worker pool, then runs the reactor on the calling thread.
     /// Returns the final counter snapshot once the pool has drained.
     pub fn run(self) -> ServerSnapshot {
-        let Server { listener, wake_rx, wake_tx, shared, .. } = self;
-        let shared = &shared;
-        let (job_tx, job_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel();
-        let job_rx = Mutex::new(job_rx);
-        std::thread::scope(|scope| {
-            for _ in 0..shared.batch_workers {
-                let done_tx = done_tx.clone();
-                let wake = wake_tx.clone();
-                let job_rx = &job_rx;
-                scope.spawn(move || reactor::worker(shared, job_rx, done_tx, wake));
-            }
-            drop(done_tx);
-            // The reactor owns the job sender: when `run` returns it drops,
-            // the workers' `recv` disconnects, and the scope joins.
-            Reactor::new(shared, listener, wake_rx, job_tx, done_rx).run();
-        });
-        shared.snapshot()
+        reactor::serve(&self.local, self.endpoint);
+        self.local.stats()
     }
 }
 

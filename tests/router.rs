@@ -21,6 +21,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wcsd::prelude::*;
@@ -424,4 +426,62 @@ fn router_result_cache_short_circuits_fanout() {
 
     let snapshot = cluster.shutdown();
     assert!(snapshot.cache_hits >= workload.len() as u64);
+}
+
+/// Sends `bytes` on a fresh connection, half-closes it, and returns every
+/// byte the peer sends back before it hangs up.
+fn raw_exchange(addr: &str, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // A peer that rejects an over-long request may hang up before reading
+    // all of it; a failed write is part of the exchange, not a test failure.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return reply,
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+/// Framing-level parity: the same raw bytes sent to the router and to a
+/// direct server draw byte-identical replies, including for input that
+/// never reaches an executor — blank lines, an unknown binary version, an
+/// oversized frame header, and an over-long text line.
+#[test]
+fn router_framing_replies_match_direct_server_bytes() {
+    let g = barabasi_albert(50, 2, &QualityAssigner::uniform(4), 19);
+    let cluster = start_cluster(&g, 2, 5, Duration::from_secs(2), 64 * 1024);
+    let direct = Server::bind(IndexBuilder::wc_index_plus().build(&g), ServerConfig::default())
+        .expect("bind direct server");
+    let direct_addr = direct.local_addr().to_string();
+    let direct_handle = std::thread::spawn(move || direct.run());
+
+    let mut oversized_frame = vec![0xBF, 1];
+    oversized_frame.extend_from_slice(&(20u32 << 20).to_le_bytes());
+    let cases: [(&str, Vec<u8>); 4] = [
+        ("blank line", b"\nQUERY 0 1 1\n".to_vec()),
+        ("binary version 9", vec![0xBF, 9]),
+        ("20 MiB frame header", oversized_frame),
+        ("70 KiB line", format!("QUERY {}\n", "7".repeat(70 * 1024)).into_bytes()),
+    ];
+    for (case, bytes) in &cases {
+        let via_router = raw_exchange(&cluster.router_addr, bytes);
+        let via_direct = raw_exchange(&direct_addr, bytes);
+        assert!(!via_direct.is_empty(), "{case}: the direct server sent nothing");
+        assert!(
+            via_router == via_direct,
+            "{case}: router replied {:?}, the direct server {:?}",
+            String::from_utf8_lossy(&via_router),
+            String::from_utf8_lossy(&via_direct)
+        );
+    }
+
+    cluster.shutdown();
+    let mut c = Client::connect(&direct_addr).expect("connect direct");
+    c.shutdown().expect("direct shutdown");
+    direct_handle.join().expect("direct thread");
 }
